@@ -157,7 +157,10 @@ def _cmd_hom_phitile(args: argparse.Namespace) -> int:
 def _cmd_hom_omega_gamma(args: argparse.Namespace) -> int:
     sigma = braid.parse_braid_word(args.sigma)
     if args.blocks is not None:
-        blocks = [ExactMatrix.from_json_obj(b) for b in json.loads(args.blocks)]
+        blocks = json.loads(args.blocks)
+        if not isinstance(blocks, list):
+            raise ValueError("blocks must be a JSON list of matrices")
+        blocks = [ExactMatrix.from_json_obj(b) for b in blocks]
     else:
         blocks = [ExactMatrix.identity(2 * args.genus)] * sigma.n
     image = homs.wreath_symplectic(sigma.n, args.genus, sigma, blocks)

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from .linalg import json_field
+
 _SIDES = ("in", "out")
 
 
@@ -125,14 +127,18 @@ class MarkedGraph:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "MarkedGraph":
-        return MarkedGraph(
-            int(obj["points"]),
-            tuple((int(a), int(b)) for a, b in obj.get("edges", ())),
-            tuple(
+        if not isinstance(obj, dict):
+            raise ValueError("graph JSON must be an object with 'points', 'edges' and 'half_edges'")
+        with json_field("graph", "points"):
+            points = int(obj["points"])
+        with json_field("graph", "edges"):
+            edges = tuple((int(a), int(b)) for a, b in obj.get("edges", ()))
+        with json_field("graph", "half_edges"):
+            half_edges = tuple(
                 HalfEdge(int(h["point"]), str(h["side"]), int(h["interval"]))
                 for h in obj.get("half_edges", ())
-            ),
-        )
+            )
+        return MarkedGraph(points, edges, half_edges)
 
     def __str__(self) -> str:
         parts = [f"{self.points} points"]

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 from .artin import Presentation
 from .braid import BraidWord, cable, mirror, underlying_permutation
 from .graphs import MarkedGraph
-from .linalg import ExactMatrix, SymplecticForm, is_symplectic
+from .linalg import ExactMatrix, SymplecticForm, is_symplectic, rank_one_product
 from .reporting import CheckRecord, Report
 
 T = TypeVar("T")
@@ -63,22 +63,24 @@ def chain_classes(g: int) -> tuple[CurveClass, ...]:
     return tuple(out)
 
 
+# Every transvection below is I + u^T d with d . u = 0 (a class pairs to 0
+# with itself; the edge pairing has a zero diagonal), so (I + u^T d)(I - u^T d)
+# = I: an inverse letter just flips the sign, and nothing is ever inverted.
+
+
+def _transvection_factor(c: CurveClass) -> tuple[list[int], tuple[int, ...]]:
+    """(u, d) with <v, c> = v . u and d = c, for v -> v + <v, c> c."""
+    x = c.coords
+    # <v, c> = sum_i v[2i] c[2i+1] - v[2i+1] c[2i]
+    return [x[a + 1] if a % 2 == 0 else -x[a - 1] for a in range(len(x))], x
+
+
 def transvection(c: CurveClass, form: SymplecticForm | None = None) -> ExactMatrix:
     """Matrix of x -> x + <x, c> c (row convention); always symplectic."""
     form = form or SymplecticForm(c.genus)
     if form.dim != 2 * c.genus:
         raise ValueError(f"form dimension {form.dim} does not match genus {c.genus}")
-    n = form.dim
-    weights = [form.pairing(_basis_row(n, a), c.coords) for a in range(n)]
-    rows = [
-        [(1 if a == b else 0) + weights[a] * c.coords[b] for b in range(n)]
-        for a in range(n)
-    ]
-    return ExactMatrix.from_rows(rows, cols=n)
-
-
-def _basis_row(n: int, a: int) -> tuple[int, ...]:
-    return tuple(1 if b == a else 0 for b in range(n))
+    return rank_one_product(form.dim, lambda _: _transvection_factor(c), (1,))
 
 
 def braid_to_symplectic(g: int, word: BraidWord) -> ExactMatrix:
@@ -87,16 +89,7 @@ def braid_to_symplectic(g: int, word: BraidWord) -> ExactMatrix:
     if word.n != 2 * g:
         raise ValueError(f"word is on {word.n} strands, genus {g} needs {2 * g}")
     classes = chain_classes(g)
-    form = SymplecticForm(g)
-    twists: dict[int, ExactMatrix] = {}
-    result = ExactMatrix.identity(2 * g)
-    for l in word.letters:
-        i = abs(l)
-        if i not in twists:
-            twists[i] = transvection(classes[i - 1], form)
-        m = twists[i] if l > 0 else twists[i].inverse()
-        result = result * m
-    return result
+    return rank_one_product(2 * g, lambda i: _transvection_factor(classes[i - 1]), word.letters)
 
 
 def band_generator(k: int, i: int, j: int) -> BraidWord:
@@ -167,31 +160,21 @@ class EdgeTransvectionRep:
                     rows[b][a] = -s
         return EdgeTransvectionRep(edges, ExactMatrix.from_rows(rows, cols=e))
 
-    def transvection(self, index: int) -> ExactMatrix:
-        """Transvection along the basis vector of edge ``index`` (1-based):
-        the identity with column ``index`` shifted by the pairing column."""
+    def _factor(self, index: int) -> tuple[list[int], list[int]]:
+        """(u, d) of the transvection along edge ``index`` (1-based): the
+        pairing column of the edge and its basis vector."""
         e = len(self.edges)
         if not (1 <= index <= e):
             raise ValueError(f"edge index {index} outside 1..{e}")
-        rows = [
-            [
-                (1 if a == b else 0) + (self.pairing.entries[a][index - 1] if b == index - 1 else 0)
-                for b in range(e)
-            ]
-            for a in range(e)
-        ]
-        return ExactMatrix.from_rows(rows, cols=e)
+        return [row[index - 1] for row in self.pairing.entries], [int(b == index - 1) for b in range(e)]
+
+    def transvection(self, index: int) -> ExactMatrix:
+        """Transvection along the basis vector of edge ``index`` (1-based):
+        the identity with column ``index`` shifted by the pairing column."""
+        return rank_one_product(len(self.edges), self._factor, (index,))
 
     def image(self, word: Iterable[int]) -> ExactMatrix:
-        result = ExactMatrix.identity(len(self.edges))
-        cache: dict[int, ExactMatrix] = {}
-        for l in word:
-            i = abs(l)
-            if i not in cache:
-                cache[i] = self.transvection(i)
-            m = cache[i] if l > 0 else cache[i].inverse()
-            result = result * m
-        return result
+        return rank_one_product(len(self.edges), self._factor, word)
 
 
 def edge_transvection_image(graph: MarkedGraph, word: Iterable[int], signs: Mapping[tuple[int, int], int] | None = None) -> ExactMatrix:

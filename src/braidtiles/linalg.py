@@ -1,22 +1,23 @@
-"""Exact dense linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers and rationals.
 
 Everything in this package that looks like a linear map acts on *row*
 vectors from the right, so the matrix of "f then g" is ``matrix(f) *
 matrix(g)`` and every representation of a word w1*w2 is the product of
 the representations of w1 and w2 in that order.
 
-Matrices are immutable and small (nothing downstream exceeds ~40x40), so
-the implementation favours clarity over asymptotics.  Integer-valued
-entries are stored as ``int`` and only genuinely fractional entries as
-``Fraction``; the two compare and hash consistently, and no floating
-point is involved anywhere.
+Matrices reach 79x79 (the 79-edge chain).  Word images are not dense
+products: ``rank_one_product`` folds their rank-one letters, reading only
+nonzero entries; the dense product and ``inverse`` are the exact reference.
+Integer-valued entries are stored as ``int`` and only genuinely fractional
+entries as ``Fraction``, and no floating point is involved anywhere.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Scalar = int | Fraction
 
@@ -33,12 +34,22 @@ def _norm(x: Scalar) -> Scalar:
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse "p" or "p/q" into an exact scalar."""
-    s = text.strip()
-    if "/" in s:
-        p, q = s.split("/", 1)
-        return _norm(Fraction(int(p), int(q)))
-    return int(s)
+    """Parse "p" or "p/q" into an exact scalar; anything else, a zero
+    denominator included, raises ValueError naming the text."""
+    try:
+        return _norm(Fraction(*(int(part) for part in text.split("/"))))
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"invalid scalar {text!r}: expected a string \"p\" or \"p/q\" with q nonzero") from None
+
+
+@contextmanager
+def json_field(kind: str, field: str) -> Iterator[None]:
+    """Raise a missing or malformed JSON field as a ValueError naming it."""
+    try:
+        yield
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{kind} JSON field {field!r}: {detail}") from None
 
 
 def format_scalar(x: Scalar) -> str:
@@ -87,11 +98,6 @@ class ExactMatrix:
         return ExactMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
     @staticmethod
-    def diagonal(values: Sequence[Scalar]) -> "ExactMatrix":
-        n = len(values)
-        return ExactMatrix(n, n, tuple(tuple(values[i] if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @staticmethod
     def block_diagonal(blocks: Iterable["ExactMatrix"]) -> "ExactMatrix":
         blocks = list(blocks)
         rows = sum(b.rows for b in blocks)
@@ -116,23 +122,6 @@ class ExactMatrix:
             out.append(tuple(sum(a * b for a, b in zip(row, col)) for col in ocols))
         return ExactMatrix(self.rows, other.cols, tuple(out))
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._same_shape(other)
-        return ExactMatrix(
-            self.rows, self.cols,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._same_shape(other)
-        return ExactMatrix(
-            self.rows, self.cols,
-            tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-        )
-
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, tuple(tuple(-a for a in r) for r in self.entries))
-
     def __pow__(self, exponent: int) -> "ExactMatrix":
         if self.rows != self.cols:
             raise ValueError("only square matrices can be raised to a power")
@@ -148,24 +137,10 @@ class ExactMatrix:
             e >>= 1
         return result
 
-    def _same_shape(self, other: "ExactMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-
-    def scale(self, s: Scalar) -> "ExactMatrix":
-        s = _norm(s)
-        return ExactMatrix(self.rows, self.cols, tuple(tuple(s * a for a in r) for r in self.entries))
-
     def transpose(self) -> "ExactMatrix":
         if not self.entries:
             return ExactMatrix(self.cols, self.rows, tuple(() for _ in range(self.cols)))
         return ExactMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
-
-    def row(self, i: int) -> tuple[Scalar, ...]:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(r[j] for r in self.entries)
 
     @property
     def is_square(self) -> bool:
@@ -231,6 +206,8 @@ class ExactMatrix:
 
     @staticmethod
     def from_json_obj(obj: Sequence[Sequence[str]], cols: int | None = None) -> "ExactMatrix":
+        if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+            raise ValueError("matrix JSON must be a list of rows, each a list of scalar strings")
         return ExactMatrix.from_rows([[parse_scalar(x) for x in row] for row in obj], cols=cols)
 
     def __str__(self) -> str:
@@ -239,6 +216,30 @@ class ExactMatrix:
         cells = [[format_scalar(x) for x in row] for row in self.entries]
         width = max(len(c) for row in cells for c in row)
         return "\n".join("[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells)
+
+
+def rank_one_product(
+    n: int, factor: Callable[[int], tuple[Sequence[int], Sequence[int]]], word: Iterable[int]
+) -> ExactMatrix:
+    """Product, in word order, of n x n integer factors I + s * u^T d acting
+    on row vectors as v -> v + s (v . u) d: letter l gives (u, d) =
+    factor(|l|), fetched once per generator, and s = sign(l).  Kept by
+    columns, a factor adds s * d[j] * (R u^T) to column j of the product R
+    for each nonzero d[j], so zero entries of u and d are never read."""
+    sparse = {}
+    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    for l in word:
+        if abs(l) not in sparse:
+            u, d = factor(abs(l))
+            sparse[abs(l)] = ([(k, x) for k, x in enumerate(u) if x], [(j, y) for j, y in enumerate(d) if y])
+        u, d = sparse[abs(l)]
+        ru = [0] * n
+        for k, x in u:
+            ru = [a + x * b for a, b in zip(ru, cols[k])]
+        for j, y in d:
+            sy = y if l > 0 else -y
+            cols[j] = [a + sy * b for a, b in zip(cols[j], ru)]
+    return ExactMatrix.from_rows(list(zip(*cols)), cols=n)
 
 
 @dataclass(frozen=True)
@@ -380,6 +381,9 @@ def smith_normal_form(m: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMa
 
 
 def invariant_factors(m: ExactMatrix) -> tuple[int, ...]:
-    """Nonzero diagonal entries of the Smith normal form, in order."""
-    d, _, _ = smith_normal_form(m)
+    """Nonzero diagonal entries of the Smith normal form, in order.  Zero and
+    repeated rows leave the row lattice, hence these, unchanged, so they are
+    dropped first (most exponent rows of a graph presentation are zero)."""
+    rows = [row for row in dict.fromkeys(m.entries) if any(row)]
+    d, _, _ = smith_normal_form(ExactMatrix.from_rows(rows, cols=m.cols))
     return tuple(d.entries[i][i] for i in range(min(d.rows, d.cols)) if d.entries[i][i])

@@ -18,6 +18,7 @@ from braidtiles.artin import (
     presentation_from_graph,
 )
 from braidtiles.graphs import MarkedGraph
+from braidtiles.linalg import ExactMatrix
 
 WITNESS_GRAPH = MarkedGraph(5, ((1, 2), (2, 4), (3, 4), (4, 5)))
 
@@ -245,6 +246,31 @@ def test_image_is_multiplicative():
         assert cox.image(u + v) == cox.image(u) * cox.image(v)
 
 
+def test_reflection_matches_bilinear_form():
+    # the identity with column s replaced by e_s - 2 B(., a_s)
+    cox = CoxeterSystem.from_graph(WITNESS_GRAPH)
+    b = cox.bilinear_matrix()
+    for s in range(1, cox.rank + 1):
+        expected = [
+            [(1 if a == c else 0) - (2 * b.entries[a][s - 1] if c == s - 1 else 0) for c in range(cox.rank)]
+            for a in range(cox.rank)
+        ]
+        assert cox.reflection(s).entries == tuple(map(tuple, expected))
+
+
+def test_coxeter_fold_matches_dense_product():
+    rng = random.Random(33)
+    pool = [expr for level in tiles.enumerate_trees(5) for expr in level[-30:]]
+    for expr in rng.sample(pool, 10):
+        cox = CoxeterSystem.from_graph(tiles.marked_graph_of(expr))
+        for _ in range(4):
+            word = tuple(rng.choice([1, -1]) * rng.randint(1, cox.rank) for _ in range(rng.randint(0, 24)))
+            dense = ExactMatrix.identity(cox.rank)
+            for l in word:
+                dense = dense * (cox.reflection(abs(l)) if l > 0 else cox.reflection(abs(l)).inverse())
+            assert cox.image(word) == dense
+
+
 def test_inverse_letters_map_to_the_same_reflection():
     cox = CoxeterSystem.from_graph(WITNESS_GRAPH)
     assert cox.image((2,)) == cox.image((-2,))
@@ -264,6 +290,12 @@ def test_certify_relator_is_inconclusive():
 
 def test_certify_single_generator():
     assert certify_nontrivial(WITNESS_GRAPH, (1,)) is Certificate.NONTRIVIAL
+
+
+@pytest.mark.parametrize("word", [(0,), (9,)])
+def test_certify_rejects_letters_outside_the_generators(word):
+    with pytest.raises(PresentationError):
+        certify_nontrivial(WITNESS_GRAPH, word)
 
 
 def test_witness_graph_from_tile():

@@ -157,8 +157,22 @@ def test_artin_unknown_generator_exits_2(capsys):
     assert "g7" in err
 
 
-def test_artin_bad_graph_json_exits_2(capsys):
-    code, _, err = run(capsys, "artin", "abelianize", "--graph", "{not json")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("artin", "abelianize", "--graph", "{not json"),
+        ("artin", "abelianize", "--graph", "{}"),
+        ("artin", "abelianize", "--graph", "[1]"),
+        ("artin", "abelianize", "--graph", '{"points": 1e400}'),
+        ("artin", "abelianize", "--presentation", "{}"),
+        ("hom", "omega-gamma", "--genus", "1", "b2: s1", "[1]"),
+        ("hom", "omega-gamma", "--genus", "1", "b1: e", '[[["1/0","0"],["0","1"]]]'),
+    ],
+    ids=["not-json", "graph-empty-object", "graph-list", "graph-infinite-points", "presentation-empty-object",
+         "blocks-not-matrices", "blocks-zero-denominator"],
+)
+def test_artin_bad_graph_json_exits_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
 

@@ -85,7 +85,10 @@ def test_transvection_is_symplectic_and_unipotent():
         t = transvection(c)
         form = SymplecticForm(g)
         assert is_symplectic(t, form)
-        assert ((t - ExactMatrix.identity(2 * g)) ** 2).is_zero()
+        nilpotent = ExactMatrix.from_rows(
+            [[x - (1 if a == b else 0) for b, x in enumerate(row)] for a, row in enumerate(t.entries)]
+        )
+        assert (nilpotent ** 2).is_zero()
 
 
 def test_transvection_fixes_its_curve():
@@ -280,6 +283,43 @@ def test_chain_basis_compatibility():
             word = rand_word(rng, 2 * g, rng.randint(0, 6))
             restricted = edge_transvection_image(graph, word.letters, gram_signs)
             assert c_rows * braid_to_symplectic(g, word) == restricted * c_rows
+
+
+# -- rank-one folds against dense products ----------------------------------------
+
+
+def _dense_image(factors, word):
+    """Reference image: the dense product of the generator matrices, with
+    the exact inverse for every inverse letter."""
+    result = ExactMatrix.identity(factors[1].rows)
+    for l in word:
+        m = factors[abs(l)]
+        result = result * (m if l > 0 else m.inverse())
+    return result
+
+
+def test_symplectic_fold_matches_dense_product():
+    rng = random.Random(31)
+    for g in (1, 2, 3, 4):
+        factors = {i + 1: transvection(c) for i, c in enumerate(chain_classes(g))}
+        for _ in range(6):
+            word = rand_word(rng, 2 * g, rng.randint(0, 24))
+            assert braid_to_symplectic(g, word) == _dense_image(factors, word.letters)
+
+
+def test_edge_fold_matches_dense_product():
+    rng = random.Random(32)
+    pool = [expr for level in tiles.enumerate_trees(5) for expr in level[-30:]]
+    for expr in rng.sample(pool, 10):
+        graph = tiles.marked_graph_of(expr).without_half_edges()
+        signs = {p: rng.choice([1, -1]) for p in _adjacent_pairs(graph)}
+        rep = EdgeTransvectionRep.from_graph(graph, signs)
+        e = len(graph.edges)
+        factors = {i: rep.transvection(i) for i in range(1, e + 1)}
+        for _ in range(4):
+            word = tuple(rng.choice([1, -1]) * rng.randint(1, e) for _ in range(rng.randint(0, 24)))
+            assert rep.image(word) == _dense_image(factors, word)
+            assert edge_transvection_image(graph, word, signs) == rep.image(word)
 
 
 # -- blockwise wreath images ----------------------------------------------------------

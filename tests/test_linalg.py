@@ -12,6 +12,7 @@ from braidtiles.linalg import (
     invariant_factors,
     is_symplectic,
     parse_scalar,
+    rank_one_product,
     smith_normal_form,
 )
 
@@ -81,8 +82,6 @@ def test_product_and_shape_errors():
     assert (a * b).entries == ((2, 1), (4, 3))
     with pytest.raises(ValueError):
         a * ExactMatrix.zeros(3, 2)
-    with pytest.raises(ValueError):
-        a + ExactMatrix.zeros(2, 3)
 
 
 def test_pow_and_inverse():
@@ -135,8 +134,15 @@ def test_degenerate_shapes():
 def test_scalar_text_round_trip():
     for x in (0, -7, Fraction(3, 4), Fraction(-1, 2)):
         assert parse_scalar(format_scalar(x)) == x
+    for bad in ("1.5", "1/0", "1/2/3", "", 1, None):
+        with pytest.raises(ValueError):
+            parse_scalar(bad)
+
+
+@pytest.mark.parametrize("obj", [1, [1], [["1", "x"]], [[1, 0]], [["1/0"]]])
+def test_matrix_json_rejects_wrong_shapes(obj):
     with pytest.raises(ValueError):
-        parse_scalar("1.5")
+        ExactMatrix.from_json_obj(obj)
 
 
 def test_json_round_trip():
@@ -196,9 +202,52 @@ def test_smith_random_properties():
         )
 
 
+def test_invariant_factors_ignore_zero_and_repeated_rows():
+    rng = random.Random(9)
+    for _ in range(40):
+        r, c = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+        padded = rows + [[0] * c for _ in range(rng.randint(1, 3))]
+        padded += [list(rng.choice(rows)) for _ in range(rng.randint(1, 3))]
+        rng.shuffle(padded)
+        assert invariant_factors(ExactMatrix.from_rows(padded, cols=c)) == invariant_factors(
+            ExactMatrix.from_rows(rows, cols=c)
+        )
+
+
 def test_invariant_factors_frozen():
     assert invariant_factors(ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == (1, 3)
     assert invariant_factors(ExactMatrix.zeros(2, 2)) == ()
+
+
+# -- rank-one products --------------------------------------------------------------
+
+def test_rank_one_product_matches_dense_factors():
+    # letter l is the factor I + sign(l) u^T d of generator |l|, whether or
+    # not d . u = 0; each generator's (u, d) is requested once
+    rng = random.Random(5)
+    for _ in range(30):
+        n, gens = rng.randint(0, 5), rng.randint(1, 3)
+        pairs = {
+            i: ([rng.choice([0, 0, 1, -2, 3]) for _ in range(n)], [rng.choice([0, 0, -1, 2]) for _ in range(n)])
+            for i in range(1, gens + 1)
+        }
+        word = [rng.choice([1, -1]) * rng.randint(1, gens) for _ in range(rng.randint(0, 8))]
+        requested = []
+
+        def factor(i):
+            requested.append(i)
+            return pairs[i]
+
+        dense = ExactMatrix.identity(n)
+        for l in word:
+            u, d = pairs[abs(l)]
+            s = 1 if l > 0 else -1
+            dense = dense * ExactMatrix.from_rows(
+                [[(1 if a == b else 0) + s * u[a] * d[b] for b in range(n)] for a in range(n)], cols=n
+            )
+        assert rank_one_product(n, factor, word) == dense
+        assert sorted(requested) == sorted(set(map(abs, word)))
 
 
 # -- symplectic form ----------------------------------------------------------
