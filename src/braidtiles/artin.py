@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 from .graphs import MarkedGraph
 # smith_normal_form stays importable from here: the benchmark's tracer test
 # (benchmarks/tests) patches and compares it as artin.smith_normal_form.
-from .linalg import ExactMatrix, invariant_factors, json_field, rank_one_product, smith_normal_form  # noqa: F401
+from .linalg import ExactMatrix, invariant_factors, json_field, json_int, rank_one_product, smith_normal_form  # noqa: F401
 
 Word = tuple[int, ...]
 
@@ -103,7 +103,7 @@ class Presentation:
         with json_field("presentation", "generators"):
             generators = tuple(str(g) for g in obj["generators"])
         with json_field("presentation", "relators"):
-            relators = tuple(tuple(int(l) for l in r) for r in obj.get("relators", ()))
+            relators = tuple(tuple(json_int(l) for l in r) for r in obj.get("relators", ()))
         return Presentation(generators, relators)
 
     def __str__(self) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .linalg import json_field
+from .linalg import json_field, json_int
 
 _SIDES = ("in", "out")
 
@@ -130,12 +130,12 @@ class MarkedGraph:
         if not isinstance(obj, dict):
             raise ValueError("graph JSON must be an object with 'points', 'edges' and 'half_edges'")
         with json_field("graph", "points"):
-            points = int(obj["points"])
+            points = json_int(obj["points"])
         with json_field("graph", "edges"):
-            edges = tuple((int(a), int(b)) for a, b in obj.get("edges", ()))
+            edges = tuple((json_int(a), json_int(b)) for a, b in obj.get("edges", ()))
         with json_field("graph", "half_edges"):
             half_edges = tuple(
-                HalfEdge(int(h["point"]), str(h["side"]), int(h["interval"]))
+                HalfEdge(json_int(h["point"]), str(h["side"]), json_int(h["interval"]))
                 for h in obj.get("half_edges", ())
             )
         return MarkedGraph(points, edges, half_edges)

@@ -52,6 +52,14 @@ def json_field(kind: str, field: str) -> Iterator[None]:
         raise ValueError(f"{kind} JSON field {field!r}: {detail}") from None
 
 
+def json_int(x: object) -> int:
+    """A JSON integer as is; a bool, float, str or anything else that is not
+    an int raises TypeError instead of being truncated or coerced."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def format_scalar(x: Scalar) -> str:
     if isinstance(x, Fraction) and x.denominator != 1:
         return f"{x.numerator}/{x.denominator}"

@@ -26,11 +26,12 @@ edge ends facing an unglued boundary interval are kept as half-edges.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .artin import Presentation, presentation_from_graph
 from .graphs import HalfEdge, MarkedGraph
+from .linalg import json_int
 
 # ref into a diagram: ("in", i) is the 0-based global input i,
 # ("node", r) is the single output of atom instance r
@@ -48,57 +49,43 @@ class TileParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TileExpr:
-    """Base class of tile expression terms."""
+    """Base class of tile expression terms; ``dom`` and ``cod`` are fixed
+    at construction."""
 
-    @property
-    def dom(self) -> int:
-        raise NotImplementedError
+    dom: int = field(init=False, compare=False, repr=False)
+    cod: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def cod(self) -> int:
-        raise NotImplementedError
+    def _arity(self, dom: int, cod: int) -> None:
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
 
     def __str__(self) -> str:
         return format_tile_expression(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomExpr(TileExpr):
     tag: str
 
     def __post_init__(self) -> None:
         if self.tag not in _ARITY:
             raise ValueError(f"unknown atom {self.tag!r}; atoms are D, P, F")
-
-    @property
-    def dom(self) -> int:
-        return _ARITY[self.tag][0]
-
-    @property
-    def cod(self) -> int:
-        return _ARITY[self.tag][1]
+        self._arity(*_ARITY[self.tag])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdentityExpr(TileExpr):
     width: int
 
     def __post_init__(self) -> None:
         if self.width < 0:
             raise ValueError("identity width must be nonnegative")
-
-    @property
-    def dom(self) -> int:
-        return self.width
-
-    @property
-    def cod(self) -> int:
-        return self.width
+        self._arity(self.width, self.width)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComposeExpr(TileExpr):
     """Gluing ``first ; second``: first's outputs feed second's inputs."""
 
@@ -111,28 +98,16 @@ class ComposeExpr(TileExpr):
                 f"cannot glue: left tile produces {self.first.cod} intervals, "
                 f"right tile expects {self.second.dom}"
             )
-
-    @property
-    def dom(self) -> int:
-        return self.first.dom
-
-    @property
-    def cod(self) -> int:
-        return self.second.cod
+        self._arity(self.first.dom, self.second.cod)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnionExpr(TileExpr):
     left: TileExpr
     right: TileExpr
 
-    @property
-    def dom(self) -> int:
-        return self.left.dom + self.right.dom
-
-    @property
-    def cod(self) -> int:
-        return self.left.cod + self.right.cod
+    def __post_init__(self) -> None:
+        self._arity(self.left.dom + self.right.dom, self.left.cod + self.right.cod)
 
 
 D = AtomExpr("D")
@@ -166,10 +141,15 @@ def disjoint_union(*parts: TileExpr) -> TileExpr:
 
 # -- text format --------------------------------------------------------
 
+_PREC = {"+": 2, ";": 1}
+
+
 def parse_tile_expression(text: str) -> TileExpr:
     """Parse the tile grammar: atoms D, P, F; identities 1_<n>; ``+`` for
     union binding tighter than ``;`` for gluing; both left-associative;
-    parentheses allowed."""
+    parentheses allowed.  An operator stack replaces recursive descent, so
+    nesting depth is unbounded; a pending gluing is checked as soon as its
+    right part ends, as recursive descent would."""
     tokens: list[tuple[str, int, int]] = []  # (kind, value-or-0, position)
     i = 0
     while i < len(text):
@@ -188,76 +168,82 @@ def parse_tile_expression(text: str) -> TileExpr:
             continue
         raise TileParseError(f"unexpected character {ch!r}", i)
 
-    pos = 0
+    atoms = {"D": D, "P": P, "F": F}
+    terms: list[TileExpr] = []
+    ops: list[tuple[int, str, int]] = []  # pending "+", ";" and "(": (precedence, kind, position)
 
-    def peek() -> tuple[str, int, int] | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def parse_sequence() -> TileExpr:
-        nonlocal pos
-        node = parse_union()
-        while (t := peek()) and t[0] == ";":
-            pos += 1
-            right = parse_union()
+    def reduce(prec: int) -> None:
+        """Apply the pending operators of precedence >= prec, innermost first."""
+        while ops and ops[-1][0] >= prec:
+            _, op, at = ops.pop()
+            right = terms.pop()
+            if op == "+":
+                terms[-1] = UnionExpr(terms[-1], right)
+                continue
             try:
-                node = ComposeExpr(node, right)
+                terms[-1] = ComposeExpr(terms[-1], right)
             except ValueError as exc:
-                raise TileParseError(str(exc), t[2]) from None
-        return node
+                raise TileParseError(str(exc), at) from None
 
-    def parse_union() -> TileExpr:
-        nonlocal pos
-        node = parse_primary()
-        while (t := peek()) and t[0] == "+":
-            pos += 1
-            node = UnionExpr(node, parse_primary())
-        return node
-
-    def parse_primary() -> TileExpr:
-        nonlocal pos
-        t = peek()
-        if t is None:
-            raise TileParseError("expected a tile term", len(text))
-        kind, value, at = t
-        if kind in "DPF":
-            pos += 1
-            return AtomExpr(kind)
-        if kind == "1":
-            pos += 1
-            return IdentityExpr(value)
-        if kind == "(":
-            pos += 1
-            node = parse_sequence()
-            t2 = peek()
-            if t2 is None or t2[0] != ")":
-                raise TileParseError("missing ')'", t2[2] if t2 else len(text))
-            pos += 1
-            return node
-        raise TileParseError(f"expected a tile term, found {kind!r}", at)
-
-    node = parse_sequence()
-    if pos < len(tokens):
-        raise TileParseError(f"unexpected {tokens[pos][0]!r}", tokens[pos][2])
-    return node
+    want_term = True
+    for kind, value, at in tokens:
+        if want_term:
+            if kind == "(":
+                ops.append((0, kind, at))
+                continue
+            if kind not in "DPF1":
+                raise TileParseError(f"expected a tile term, found {kind!r}", at)
+            terms.append(IdentityExpr(value) if kind == "1" else atoms[kind])
+            want_term = False
+        elif kind in _PREC:  # "+" or ";"
+            prec = _PREC[kind]
+            if ops and ops[-1][0] >= prec:
+                reduce(prec)
+            ops.append((prec, kind, at))
+            want_term = True
+        else:  # ")" closes the innermost group; anything else cannot follow a term
+            reduce(1)
+            if kind == ")" and ops:
+                ops.pop()
+            elif ops:
+                raise TileParseError("missing ')'", at)
+            else:
+                raise TileParseError(f"unexpected {kind!r}", at)
+    if want_term:
+        raise TileParseError("expected a tile term", len(text))
+    reduce(1)
+    if ops:
+        raise TileParseError("missing ')'", len(text))
+    return terms[0]
 
 
 def format_tile_expression(expr: TileExpr) -> str:
-    """Inverse of the parser up to whitespace: parse(format(e)) == e."""
-
-    def go(e: TileExpr, min_prec: int) -> str:
-        if isinstance(e, AtomExpr):
-            return e.tag
-        if isinstance(e, IdentityExpr):
-            return f"1_{e.width}"
-        if isinstance(e, UnionExpr):
-            s = f"{go(e.left, 1)} + {go(e.right, 2)}"
-            return s if min_prec <= 1 else f"({s})"
-        if isinstance(e, ComposeExpr):
-            s = f"{go(e.first, 0)} ; {go(e.second, 1)}"
-            return s if min_prec <= 0 else f"({s})"
-        raise TypeError(f"not a tile expression: {e!r}")
-
-    return go(expr, 0)
+    """Inverse of the parser up to whitespace: parse(format(e)) == e.
+    Parentheses go only where precedence and left association need them:
+    around a gluing inside a union, and around a right part that binds no
+    tighter than its parent."""
+    parts: list[str] = []
+    stack: list[TileExpr | str] = [expr]  # terms still to print, and literal text
+    while stack:
+        e = stack.pop()
+        if isinstance(e, str):
+            parts.append(e)
+        elif isinstance(e, AtomExpr):
+            parts.append(e.tag)
+        elif isinstance(e, IdentityExpr):
+            parts.append(f"1_{e.width}")
+        elif isinstance(e, UnionExpr):
+            right, left = e.right, e.left
+            stack += [")", right, "("] if isinstance(right, (UnionExpr, ComposeExpr)) else [right]
+            stack.append(" + ")
+            stack += [")", left, "("] if isinstance(left, ComposeExpr) else [left]
+        elif isinstance(e, ComposeExpr):
+            second = e.second
+            stack += [")", second, "("] if isinstance(second, ComposeExpr) else [second]
+            stack += [" ; ", e.first]
+        else:
+            raise TypeError(f"not a tile expression: {e!r}")
+    return "".join(parts)
 
 
 # -- diagrams and normal form -------------------------------------------
@@ -266,70 +252,57 @@ def format_tile_expression(expr: TileExpr) -> str:
 class _Diagram:
     """Concrete port graph of an expression; node ids index ``tags``."""
 
-    dom: int
-    cod: int
     tags: list[str]
     inputs: list[list[Ref]]
     outputs: list[Ref]
 
 
-def _shift(ref: Ref, nodes: int, ins: int) -> Ref:
-    kind, i = ref
-    return (kind, i + (nodes if kind == "node" else ins))
-
-
 def _diagram(expr: TileExpr) -> _Diagram:
-    if isinstance(expr, AtomExpr):
-        n, _ = _ARITY[expr.tag]
-        return _Diagram(n, 1, [expr.tag], [[("in", i) for i in range(n)]], [("node", 0)])
-    if isinstance(expr, IdentityExpr):
-        return _Diagram(expr.width, expr.width, [], [], [("in", i) for i in range(expr.width)])
-    if isinstance(expr, UnionExpr):
-        d1 = _diagram(expr.left)
-        d2 = _diagram(expr.right)
-        ns = len(d1.tags)
-        return _Diagram(
-            d1.dom + d2.dom,
-            d1.cod + d2.cod,
-            d1.tags + d2.tags,
-            d1.inputs + [[_shift(r, ns, d1.dom) for r in row] for row in d2.inputs],
-            d1.outputs + [_shift(r, ns, d1.dom) for r in d2.outputs],
-        )
-    if isinstance(expr, ComposeExpr):
-        d1 = _diagram(expr.first)
-        d2 = _diagram(expr.second)
-        ns = len(d1.tags)
-
-        def splice(ref: Ref) -> Ref:
-            kind, i = ref
-            return d1.outputs[i] if kind == "in" else ("node", i + ns)
-
-        return _Diagram(
-            d1.dom,
-            d2.cod,
-            d1.tags + d2.tags,
-            d1.inputs + [[splice(r) for r in row] for row in d2.inputs],
-            [splice(r) for r in d2.outputs],
-        )
-    raise TypeError(f"not a tile expression: {expr!r}")
+    """Atoms numbered left to right.  Each job reads its inputs from
+    ``src[at:at + dom]`` and appends its outputs to ``out``; a gluing's
+    first part writes a fresh list that its second part reads."""
+    if not isinstance(expr, TileExpr):
+        raise TypeError(f"not a tile expression: {expr!r}")
+    d = _Diagram([], [], [])
+    stack: list[tuple[TileExpr, list[Ref], int, list[Ref]]] = [
+        (expr, [("in", i) for i in range(expr.dom)], 0, d.outputs)
+    ]
+    while stack:
+        e, src, at, out = stack.pop()
+        if isinstance(e, AtomExpr):
+            d.inputs.append(src[at:at + e.dom])
+            out.append(("node", len(d.tags)))
+            d.tags.append(e.tag)
+        elif isinstance(e, IdentityExpr):
+            out += src[at:at + e.width]
+        elif isinstance(e, UnionExpr):
+            stack.append((e.right, src, at + e.left.dom, out))
+            stack.append((e.left, src, at, out))
+        elif isinstance(e, ComposeExpr):
+            mid: list[Ref] = []
+            stack.append((e.second, mid, 0, out))
+            stack.append((e.first, src, at, mid))
+        else:
+            raise TypeError(f"not a tile expression: {e!r}")
+    return d
 
 
-def _visit_order(tags: Sequence[str], inputs: Sequence[Sequence[Ref]], outputs: Sequence[Ref]) -> list[int]:
-    """Node ids in depth-first preorder from the outputs, ports left to
-    right.  Every node's output is consumed exactly once, so this visits
-    each node exactly once."""
-    order: list[int] = []
-    seen: set[int] = set()
-    for out in outputs:
-        stack = [out]
-        while stack:
-            kind, i = stack.pop()
-            if kind != "node" or i in seen:
-                continue
-            seen.add(i)
-            order.append(i)
-            stack.extend(reversed(inputs[i]))
-    return order
+def _sweep(inputs: Sequence[Sequence[Ref]], outputs: Sequence[Ref]) -> tuple[list[int], list[int]]:
+    """Node ids in depth-first pre-order and post-order from the outputs,
+    ports left to right.  Every node's output is consumed exactly once, so
+    this visits each node exactly once."""
+    pre: list[int] = []
+    post: list[int] = []
+    stack = [ref[1] for ref in reversed(outputs) if ref[0] == "node"]
+    while stack:
+        r = stack.pop()
+        if r < 0:  # ~r is finished
+            post.append(~r)
+            continue
+        pre.append(r)
+        stack.append(~r)
+        stack += [ref[1] for ref in reversed(inputs[r]) if ref[0] == "node"]
+    return pre, post
 
 
 @dataclass(frozen=True)
@@ -363,11 +336,11 @@ class TileNormalForm:
             kind, i = pair
             if kind not in ("in", "node"):
                 raise ValueError(f"bad ref kind {kind!r}")
-            return (str(kind), int(i))
+            return (str(kind), json_int(i))
 
         return TileNormalForm(
-            int(obj["dom"]),
-            int(obj["cod"]),
+            json_int(obj["dom"]),
+            json_int(obj["cod"]),
             tuple(str(n["tag"]) for n in obj["nodes"]),
             tuple(tuple(ref(r) for r in n["inputs"]) for n in obj["nodes"]),
             tuple(ref(r) for r in obj["outputs"]),
@@ -379,16 +352,17 @@ class TileNormalForm:
 
 def normal_form(expr: TileExpr) -> TileNormalForm:
     d = _diagram(expr)
-    order = _visit_order(d.tags, d.inputs, d.outputs)
-    rank = {j: r for r, j in enumerate(order)}
+    order = _sweep(d.inputs, d.outputs)[0]
+    rank = [0] * len(order)
+    for r, j in enumerate(order):
+        rank[j] = r
 
     def remap(ref: Ref) -> Ref:
-        kind, i = ref
-        return ref if kind == "in" else ("node", rank[i])
+        return ref if ref[0] == "in" else ("node", rank[ref[1]])
 
     return TileNormalForm(
-        d.dom,
-        d.cod,
+        expr.dom,
+        expr.cod,
         tuple(d.tags[j] for j in order),
         tuple(tuple(remap(r) for r in d.inputs[j]) for j in order),
         tuple(remap(r) for r in d.outputs),
@@ -401,93 +375,71 @@ def equal_tiles(a: TileExpr, b: TileExpr) -> bool:
 
 def to_expression(nf: TileNormalForm) -> TileExpr:
     """Canonical expression drawing exactly this diagram:
-    normal_form(to_expression(nf)) == nf."""
+    normal_form(to_expression(nf)) == nf.  Atoms are numbered in pre-order,
+    so every input of atom r has a larger id and the trees are built from
+    the last atom back."""
+    trees: list[TileExpr] = [AtomExpr(tag) for tag in nf.tags]
 
-    def terms_of(refs: Sequence[Ref]) -> list[TileExpr]:
+    def union_of(refs: Sequence[Ref]) -> TileExpr:
         terms: list[TileExpr] = []
         run = 0
-        for ref in refs:
-            if ref[0] == "in":
+        for kind, i in refs:
+            if kind == "in":
                 run += 1
                 continue
             if run:
                 terms.append(IdentityExpr(run))
                 run = 0
-            terms.append(tree_expr(ref[1]))
+            terms.append(trees[i])
         if run:
             terms.append(IdentityExpr(run))
-        return terms
+        return disjoint_union(*terms)
 
-    def tree_expr(r: int) -> TileExpr:
-        atom = AtomExpr(nf.tags[r])
-        refs = nf.inputs[r]
-        if all(ref[0] == "in" for ref in refs):
-            return atom
-        return ComposeExpr(disjoint_union(*terms_of(refs)), atom)
-
-    terms = terms_of(nf.outputs)
-    if not terms:
-        return IdentityExpr(0)
-    return disjoint_union(*terms)
+    for r in reversed(range(len(trees))):
+        children = [i for kind, i in nf.inputs[r] if kind == "node"]
+        if any(i <= r for i in children):
+            raise ValueError(f"not a normal form: atom {r} reads atom {min(children)}")
+        if children:
+            trees[r] = ComposeExpr(union_of(nf.inputs[r]), trees[r])
+    return union_of(nf.outputs)
 
 
 # -- marked points and graphs -------------------------------------------
 
-def _point_labels(tags: Sequence[str], inputs: Sequence[Sequence[Ref]], outputs: Sequence[Ref]) -> dict[tuple[int, int], int]:
-    """Label (node, local point) pairs 1..k in post-order along the output
-    sweep: a producer's points come before the consumer's own.  Keeps the
-    chord diagram of any tree non-crossing."""
-    labels: dict[tuple[int, int], int] = {}
-    counter = 0
-    for out in outputs:
-        stack: list[tuple[Ref, bool]] = [(out, False)]
-        while stack:
-            ref, expanded = stack.pop()
-            if ref[0] != "node":
-                continue
-            r = ref[1]
-            if expanded:
-                for p in range(_POINTS[tags[r]]):
-                    counter += 1
-                    labels[(r, p)] = counter
-            else:
-                stack.append((ref, True))
-                stack.extend((child, False) for child in reversed(inputs[r]))
+def _point_labels(tags: Sequence[str], inputs: Sequence[Sequence[Ref]], outputs: Sequence[Ref]) -> list[range]:
+    """Labels 1..k of each node's marked points, numbered in post-order
+    along the output sweep: a producer's points come before the
+    consumer's own.  Keeps the chord diagram of any tree non-crossing."""
+    labels = [range(0)] * len(tags)
+    count = 0
+    for r in _sweep(inputs, outputs)[1]:
+        k = _POINTS[tags[r]]
+        labels[r] = range(count + 1, count + 1 + k)
+        count += k
     return labels
 
 
-def _out_stub_point(tags: Sequence[str], labels: dict, r: int) -> int | None:
-    """Marked point carrying node r's outgoing edge end; None for D."""
-    tag = tags[r]
-    if tag == "F":
-        return labels[(r, 1)]
-    if tag == "P":
-        return labels[(r, 0)]
-    return None
-
-
 def _graph_of(tags: Sequence[str], inputs: Sequence[Sequence[Ref]], outputs: Sequence[Ref]) -> MarkedGraph:
+    # F and P anchor incoming edge ends on their first point and the
+    # outgoing end on their last; D has no point, so a wire out of D
+    # carries no edge and the consumer's end dies with it
     labels = _point_labels(tags, inputs, outputs)
     edges: list[tuple[int, int]] = []
     halves: list[HalfEdge] = []
     for r, tag in enumerate(tags):
         if tag == "F":
-            edges.append((labels[(r, 0)], labels[(r, 1)]))
-        for ref in inputs[r]:
-            consumer = labels[(r, 0)]  # F and P both anchor incoming ends on their first point
-            if ref[0] == "in":
-                halves.append(HalfEdge(consumer, "in", ref[1] + 1))
-            else:
-                producer = _out_stub_point(tags, labels, ref[1])
-                if producer is not None:
-                    edges.append((min(producer, consumer), max(producer, consumer)))
-                # a wire out of D carries no point: the consumer's edge end dies
-    for o, ref in enumerate(outputs):
-        if ref[0] == "node":
-            producer = _out_stub_point(tags, labels, ref[1])
-            if producer is not None:
-                halves.append(HalfEdge(producer, "out", o + 1))
-    return MarkedGraph(len(labels), tuple(edges), tuple(halves))
+            edges.append((labels[r][0], labels[r][1]))
+        for kind, i in inputs[r]:
+            consumer = labels[r][0]
+            if kind == "in":
+                halves.append(HalfEdge(consumer, "in", i + 1))
+            elif labels[i]:
+                producer = labels[i][-1]
+                edges.append((min(producer, consumer), max(producer, consumer)))
+    for o, (kind, i) in enumerate(outputs):
+        if kind == "node" and labels[i]:
+            halves.append(HalfEdge(labels[i][-1], "out", o + 1))
+    return MarkedGraph(sum(map(len, labels)), tuple(edges), tuple(halves))
 
 
 def marked_graph_of(tile: TileExpr | TileNormalForm) -> MarkedGraph:
@@ -530,8 +482,8 @@ def _part_point_maps(t1: TileExpr, t2: TileExpr, whole: TileExpr) -> tuple[dict[
     l1 = _point_labels(d1.tags, d1.inputs, d1.outputs)
     l2 = _point_labels(d2.tags, d2.inputs, d2.outputs)
     l = _point_labels(d.tags, d.inputs, d.outputs)
-    inj1 = {v: l[key] for key, v in l1.items()}
-    inj2 = {v: l[(key[0] + shift, key[1])] for key, v in l2.items()}
+    inj1 = {v: w for r, part in enumerate(l1) for v, w in zip(part, l[r])}
+    inj2 = {v: w for r, part in enumerate(l2) for v, w in zip(part, l[r + shift])}
     return inj1, inj2
 
 
@@ -568,15 +520,15 @@ def enumerate_tiles(max_atoms: int) -> Iterator[TileExpr]:
     so this is the whole supply of marked graphs at the budget."""
     trees = enumerate_trees(max_atoms)
 
-    def forests(total: int) -> Iterator[list[TileExpr]]:
-        if total == 0:
-            yield []
-            return
+    def forests(total: int, prefix: TileExpr | None) -> Iterator[TileExpr]:
+        """Left-nested unions of ``prefix`` with trees of ``total`` atoms."""
         for size in range(1, total + 1):
-            for first in trees[size - 1]:
-                for rest in forests(total - size):
-                    yield [first] + rest
+            for tree in trees[size - 1]:
+                union = tree if prefix is None else UnionExpr(prefix, tree)
+                if size == total:
+                    yield union
+                else:
+                    yield from forests(total - size, union)
 
     for total in range(1, max_atoms + 1):
-        for forest in forests(total):
-            yield disjoint_union(*forest)
+        yield from forests(total, None)

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import braidtiles
+from braidtiles import braid
 from braidtiles.cli import main
 
 WITNESS_TILE = "(((F + P) ; P) + 1_1) ; P"
@@ -167,14 +173,75 @@ def test_artin_unknown_generator_exits_2(capsys):
         ("artin", "abelianize", "--presentation", "{}"),
         ("hom", "omega-gamma", "--genus", "1", "b2: s1", "[1]"),
         ("hom", "omega-gamma", "--genus", "1", "b1: e", '[[["1/0","0"],["0","1"]]]'),
+        ("artin", "abelianize", "--graph", '{"points": true}'),
+        ("artin", "abelianize", "--graph", '{"points": "3"}'),
+        ("artin", "abelianize", "--graph", '{"points": 3, "edges": [[1, 2.5]]}'),
+        ("artin", "abelianize", "--presentation", '{"generators": ["a"], "relators": [[1.0]]}'),
     ],
     ids=["not-json", "graph-empty-object", "graph-list", "graph-infinite-points", "presentation-empty-object",
-         "blocks-not-matrices", "blocks-zero-denominator"],
+         "blocks-not-matrices", "blocks-zero-denominator", "graph-bool-points", "graph-string-points",
+         "graph-float-edge-end", "presentation-float-letter"],
 )
 def test_artin_bad_graph_json_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["--graph", "--presentation"])
+def test_deeply_nested_json_exits_2(capsys, flag):
+    code, out, err = run(capsys, "artin", "abelianize", flag, "[" * 30_000 + "]" * 30_000)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
+def test_deeply_nested_blocks_exit_2(capsys):
+    code, _, err = run(capsys, "hom", "omega-gamma", "--genus", "1", "b1: e", "[" * 30_000 + "]" * 30_000)
+    assert code == 2
+    assert "nested too deeply" in err
+
+
+def test_word_problem_mismatch_exits_3(capsys, monkeypatch):
+    # the oracle claims every word acts nontrivially, so a trivial word disagrees
+    monkeypatch.setattr(braid, "_action_images", lambda word, budget: [[-i] for i in range(1, word.n + 1)])
+    code, out, err = run(capsys, "braid", "trivial", "b3: s1 s1^-1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: handle reduction says trivial=True")
+
+
+def test_handle_step_budget_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(braid, "_HANDLE_STEP_LIMIT", 0)
+    code, out, err = run(capsys, "braid", "reduce", "b3: s1 s2 s1^-1")
+    assert code == 3
+    assert out == ""
+    assert err == "error: handle reduction exceeded its step budget\n"
+
+
+def test_main_leaves_the_recursion_limit_alone(capsys):
+    default = sys.getrecursionlimit()
+    sys.setrecursionlimit(default + 7)  # a value no code path would pick
+    try:
+        run(capsys, "tile", "tree", WITNESS_TILE)
+        assert sys.getrecursionlimit() == default + 7
+    finally:
+        sys.setrecursionlimit(default)
+
+
+def test_deep_tile_in_a_fresh_interpreter():
+    # D + D + ... ; F + F + ... once overflowed the C stack (SIGSEGV)
+    expr = "+".join(["D"] * 20_000) + ";" + "+".join(["F"] * 20_000)
+    src = str(Path(braidtiles.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidtiles.cli", "tile", "tree", "--json", expr],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    graph = json.loads(proc.stdout)
+    assert graph["points"] == 40_000
+    assert len(graph["edges"]) == 20_000
 
 
 def test_hom_phi(capsys):

@@ -303,3 +303,34 @@ def test_distinct_graph_count_is_stable():
         for expr in enumerate_tiles(5)
     }
     assert len(shapes) == 459
+
+
+# -- deep inputs at the default recursion limit ---------------------------------
+
+DEEP = 20_000
+
+
+def _deep_cases():
+    """(text, expected format, expected str(nf), points, edges, halves)."""
+    n = DEEP
+    chain = " ; ".join(["F"] * n)
+    union = " + ".join(["F"] * n)
+    caps = " + ".join(["D"] * n) + " ; " + union
+    return [
+        pytest.param(chain, chain, chain, 2 * n, 2 * n - 1, 2, id="F-chain"),
+        pytest.param(union, union, union, 2 * n, n, 2 * n, id="F-union"),
+        pytest.param("(" * n + "F" + ")" * n, "F", "F", 2, 1, 2, id="nested-parentheses"),
+        pytest.param(caps, caps, " + ".join(["(D ; F)"] * n), 2 * n, n, n, id="D-union-glued-to-F-union"),
+    ]
+
+
+@pytest.mark.parametrize("text,formatted,nf_text,points,edges,halves", _deep_cases())
+def test_deep_inputs_through_the_library(text, formatted, nf_text, points, edges, halves):
+    # compares text only: dataclass == on the expressions recurses
+    expr = parse_tile_expression(text)
+    nf = normal_form(expr)
+    graph = marked_graph_of(nf)
+    assert format_tile_expression(expr) == formatted
+    assert str(nf) == nf_text
+    assert (graph.points, len(graph.edges), len(graph.half_edges)) == (points, edges, halves)
+    assert marked_point_count(nf) == points
