@@ -133,12 +133,16 @@ def braid_presentation(k: int) -> Presentation:
     return Presentation(gens, tuple(relators))
 
 
+def edge_generators(graph: MarkedGraph) -> tuple[str, ...]:
+    """Names g1, g2, ... of the Artin generators, one per full edge in sorted order."""
+    return tuple(f"g{i}" for i in range(1, len(graph.edges) + 1))
+
+
 def presentation_from_graph(graph: MarkedGraph) -> Presentation:
-    """Artin group of the graph: one generator per full edge (in the graph's
-    sorted edge order, named g1, g2, ...), braid relator for each pair of
-    edges sharing a vertex, commutator for each disjoint pair."""
+    """Artin group of the graph: one generator per full edge (see
+    ``edge_generators``), braid relator for each pair of edges sharing a
+    vertex, commutator for each disjoint pair."""
     edges = graph.edges
-    gens = tuple(f"g{i}" for i in range(1, len(edges) + 1))
     relators: list[Word] = []
     for a in range(len(edges)):
         for b in range(a + 1, len(edges)):
@@ -146,7 +150,7 @@ def presentation_from_graph(graph: MarkedGraph) -> Presentation:
             relators.append(
                 _braid_relator(a + 1, b + 1) if adjacent else _commutator_relator(a + 1, b + 1)
             )
-    return Presentation(gens, tuple(relators))
+    return Presentation(edge_generators(graph), tuple(relators))
 
 
 @dataclass(frozen=True)

@@ -125,10 +125,6 @@ class BraidWord:
                 raise ValueError(f"letter {l!r} is not a generator index of a {self.n}-strand braid")
 
     @staticmethod
-    def identity(n: int) -> "BraidWord":
-        return BraidWord(n, ())
-
-    @staticmethod
     def generator(n: int, i: int, power: int = 1) -> "BraidWord":
         if not 1 <= i <= n - 1:
             raise ValueError(f"generator index {i} out of range for {n} strands")
@@ -162,10 +158,6 @@ class FreeGroupEndo:
     n: int
     images: tuple[tuple[int, ...], ...]
 
-    @staticmethod
-    def identity(n: int) -> "FreeGroupEndo":
-        return FreeGroupEndo(n, tuple((i,) for i in range(1, n + 1)))
-
     def is_identity(self) -> bool:
         return all(w == (i,) for i, w in enumerate(self.images, start=1))
 
@@ -173,17 +165,18 @@ class FreeGroupEndo:
         """Image of a free-group word, freely reduced."""
         out: list[int] = []
         for x in word:
-            img = self.images[x - 1] if x > 0 else tuple(-y for y in reversed(self.images[-x - 1]))
-            for y in img:
-                if out and out[-1] == -y:
-                    out.pop()
-                else:
-                    out.append(y)
+            _free_reduce(self.images[x - 1] if x > 0 else _inverse(self.images[-x - 1]), out)
         return tuple(out)
 
 
-def _free_reduce(letters: Sequence[int]) -> list[int]:
-    out: list[int] = []
+def _inverse(word: Sequence[int]) -> list[int]:
+    return [-x for x in reversed(word)]
+
+
+def _free_reduce(letters: Iterable[int], out: list[int] | None = None) -> list[int]:
+    """Push the letters onto ``out`` (freely reduced, empty by default),
+    cancelling each against the top when they are inverse; returns ``out``."""
+    out = [] if out is None else out
     for l in letters:
         if out and out[-1] == -l:
             out.pop()
@@ -211,25 +204,21 @@ def underlying_permutation(word: BraidWord) -> Permutation:
 
 def _action_images(word: BraidWord, budget: int | None) -> list[list[int]] | None:
     """Images of the generators under the word's action, or None once the
-    total image size exceeds ``budget``."""
-    n = word.n
-    images: list[list[int]] = [[i] for i in range(1, n + 1)]
-    for l in word.letters:
+    images under a suffix of the word exceed ``budget`` letters in total.
+    Letters fold in from the right: with a, b the images of x_i, x_{i+1}
+    under w, sigma_i w sends x_i to a b a^-1 and x_{i+1} to a, sigma_i^-1 w
+    sends x_i to b and x_{i+1} to b^-1 a b, and other images stay."""
+    images: list[list[int]] = [[i] for i in range(1, word.n + 1)]
+    total = word.n
+    for l in reversed(word.letters):
         i = abs(l)
+        a, b = images[i - 1], images[i]
         if l > 0:
-            rep = {i: (i, i + 1, -i), -i: (i, -(i + 1), -i), i + 1: (i,), -(i + 1): (-i,)}
+            images[i - 1], images[i] = _free_reduce(_inverse(a), _free_reduce(b, a[:])), a
         else:
-            rep = {i: (i + 1,), -i: (-(i + 1),), i + 1: (-(i + 1), i, i + 1), -(i + 1): (-(i + 1), -i, i + 1)}
-        for idx, w in enumerate(images):
-            out: list[int] = []
-            for x in w:
-                for y in rep.get(x, (x,)):
-                    if out and out[-1] == -y:
-                        out.pop()
-                    else:
-                        out.append(y)
-            images[idx] = out
-        if budget is not None and sum(len(w) for w in images) > budget:
+            images[i - 1], images[i] = b, _free_reduce(b, _free_reduce(a, _inverse(b)))
+        total += len(images[i - 1]) + len(images[i]) - len(a) - len(b)
+        if budget is not None and total > budget:
             return None
     return images
 

@@ -100,9 +100,9 @@ def _graph_from_args(args: argparse.Namespace) -> MarkedGraph:
 
 
 def _graph_and_word(args: argparse.Namespace) -> tuple[MarkedGraph, tuple[int, ...]]:
-    """The graph of ``--tile``/``--graph`` and ``args.word`` over its edges."""
+    """The graph of ``--tile``/``--graph`` and ``args.word`` over its edge generators."""
     graph = _graph_from_args(args)
-    return graph, artin.presentation_from_graph(graph).parse_word(args.word)
+    return graph, artin.Presentation(artin.edge_generators(graph), ()).parse_word(args.word)
 
 
 def _cmd_artin_abelianize(args: argparse.Namespace) -> Result:

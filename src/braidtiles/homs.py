@@ -75,12 +75,9 @@ def _transvection_factor(c: CurveClass) -> tuple[list[int], tuple[int, ...]]:
     return [x[a + 1] if a % 2 == 0 else -x[a - 1] for a in range(len(x))], x
 
 
-def transvection(c: CurveClass, form: SymplecticForm | None = None) -> ExactMatrix:
-    """Matrix of x -> x + <x, c> c (row convention); always symplectic."""
-    form = form or SymplecticForm(c.genus)
-    if form.dim != 2 * c.genus:
-        raise ValueError(f"form dimension {form.dim} does not match genus {c.genus}")
-    return rank_one_product(form.dim, lambda _: _transvection_factor(c), (1,))
+def transvection(c: CurveClass) -> ExactMatrix:
+    """Matrix of x -> x + <x, c> c on row vectors of Z^(2g); always symplectic."""
+    return rank_one_product(2 * c.genus, lambda _: _transvection_factor(c), (1,))
 
 
 def braid_to_symplectic(g: int, word: BraidWord) -> ExactMatrix:
@@ -106,15 +103,14 @@ def half_twist_image(graph: MarkedGraph, word: Iterable[int]) -> BraidWord:
     between points i < j maps to the band generator on (i, j), on as many
     strands as the graph has points."""
     k = graph.points
-    result = BraidWord.identity(k)
     edges = graph.edges
+    letters: list[int] = []
     for l in word:
         if l == 0 or abs(l) > len(edges):
             raise ValueError(f"letter {l} outside edge generators 1..{len(edges)}")
-        a, b = edges[abs(l) - 1]
-        band = band_generator(k, a, b)
-        result = result * (band if l > 0 else band.inverse())
-    return result
+        band = band_generator(k, *edges[abs(l) - 1])
+        letters += (band if l > 0 else band.inverse()).letters
+    return BraidWord(k, tuple(letters))
 
 
 @dataclass(frozen=True)
@@ -182,30 +178,14 @@ def edge_transvection_image(graph: MarkedGraph, word: Iterable[int], signs: Mapp
     return EdgeTransvectionRep.from_graph(graph, signs).image(word)
 
 
-def _block_swap(q: int, block: int, width: int) -> ExactMatrix:
-    """Permutation matrix exchanging blocks ``block`` and ``block``+1 of
-    ``q`` consecutive width-``width`` blocks."""
-    n = q * width
-    lo = (block - 1) * width
-    rows = []
-    for a in range(n):
-        if lo <= a < lo + width:
-            target = a + width
-        elif lo + width <= a < lo + 2 * width:
-            target = a - width
-        else:
-            target = a
-        rows.append([1 if b == target else 0 for b in range(n)])
-    return ExactMatrix.from_rows(rows, cols=n)
-
-
 def wreath_symplectic(q: int, g: int, sigma: BraidWord, fs: Sequence[ExactMatrix]) -> ExactMatrix:
     """Place q symplectic genus-g blocks on the diagonal, then let the braid
     permute the blocks: blocks act first, then per letter of sigma the
     matching adjacent block swap.  A letter and its inverse swap alike (the
     curve enclosing two blocks is separating, so the square of the swap
     acts trivially on homology), hence the image depends only on the
-    underlying permutation of sigma once the blocks are fixed."""
+    underlying permutation p of sigma once the blocks are fixed: block i
+    sits in block row i and block column p(i)."""
     if sigma.n != q:
         raise ValueError(f"sigma is on {sigma.n} strands, expected {q}")
     if len(fs) != q:
@@ -214,10 +194,13 @@ def wreath_symplectic(q: int, g: int, sigma: BraidWord, fs: Sequence[ExactMatrix
     for i, f in enumerate(fs):
         if not is_symplectic(f, form):
             raise ValueError(f"block {i + 1} is not symplectic for genus {g}")
-    result = ExactMatrix.block_diagonal(list(fs))
-    for l in sigma.letters:
-        result = result * _block_swap(q, abs(l), 2 * g)
-    return result
+    p, width = underlying_permutation(sigma), 2 * g
+    rows = [[0] * (q * width) for _ in range(q * width)]
+    for i, f in enumerate(fs):
+        col = (p(i + 1) - 1) * width
+        for r, row in enumerate(f.entries):
+            rows[i * width + r][col:col + width] = row
+    return ExactMatrix.from_rows(rows, cols=q * width)
 
 
 def block_permutation_image(k: int, g: int, word: BraidWord) -> ExactMatrix:

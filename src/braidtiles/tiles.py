@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 
 from .artin import Presentation, presentation_from_graph
 from .graphs import HalfEdge, MarkedGraph
-from .linalg import json_int
+from .linalg import json_field, json_int
 
 # ref into a diagram: ("in", i) is the 0-based global input i,
 # ("node", r) is the single output of atom instance r
@@ -332,19 +332,38 @@ class TileNormalForm:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "TileNormalForm":
-        def ref(pair: Sequence) -> Ref:
-            kind, i = pair
-            if kind not in ("in", "node"):
-                raise ValueError(f"bad ref kind {kind!r}")
-            return (str(kind), json_int(i))
+        """Inverse of ``to_json_obj``.  A bad shape, tag or arity, a ref out of
+        range, an input or atom output not read exactly once, or a numbering
+        that is not canonical raises a ValueError naming the field."""
+        if not isinstance(obj, dict):
+            raise ValueError("tile normal form JSON must be an object with 'dom', 'cod', 'nodes' and 'outputs'")
+        kind, read = "tile normal form", []
 
-        return TileNormalForm(
-            json_int(obj["dom"]),
-            json_int(obj["cod"]),
-            tuple(str(n["tag"]) for n in obj["nodes"]),
-            tuple(tuple(ref(r) for r in n["inputs"]) for n in obj["nodes"]),
-            tuple(ref(r) for r in obj["outputs"]),
-        )
+        def refs(pairs: Sequence) -> tuple[Ref, ...]:
+            out = tuple((k, json_int(i)) for k, i in pairs)
+            read.extend(out)
+            return out
+
+        with json_field(kind, "dom"):
+            dom = json_int(obj["dom"])
+        with json_field(kind, "cod"):
+            cod = json_int(obj["cod"])
+        with json_field(kind, "nodes"):
+            tags = tuple(n["tag"] for n in obj["nodes"])
+            inputs = tuple(refs(n["inputs"]) for n in obj["nodes"])
+            for tag, ins in zip(tags, inputs):
+                if tag not in _ARITY or len(ins) != _ARITY[tag][0]:
+                    raise ValueError(f"atom {tag!r} with {len(ins)} inputs; atoms are D, P, F with 0, 2, 1")
+        with json_field(kind, "outputs"):
+            outputs = refs(obj["outputs"])
+        nf = TileNormalForm(dom, cod, tags, inputs, outputs)
+        with json_field(kind, "nodes"):
+            if len(read) != dom + len(tags) or sorted(read) != (
+                    [("in", i) for i in range(dom)] + [("node", r) for r in range(len(tags))]):
+                raise ValueError("each input and atom output needs exactly one ref ['in', i] or ['node', r]")
+            if normal_form(to_expression(nf)) != nf:
+                raise ValueError("the atoms, wires or counts are not those of the canonical form")
+        return nf
 
     def __str__(self) -> str:
         return format_tile_expression(to_expression(self))

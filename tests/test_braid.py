@@ -147,6 +147,53 @@ def test_action_of_inverse_composes_to_identity():
     assert endo.is_identity()
 
 
+def _substitution_action(word: BraidWord) -> tuple[tuple[int, ...], ...]:
+    """Reference action: every letter, left to right, substitutes into every
+    image, and each image is then freely reduced on its own."""
+    images = [[i] for i in range(1, word.n + 1)]
+    for l in word.letters:
+        i = abs(l)
+        if l > 0:
+            rep = {i: [i, i + 1, -i], i + 1: [i]}
+        else:
+            rep = {i: [i + 1], i + 1: [-(i + 1), i, i + 1]}
+
+        def image(x: int) -> list[int]:
+            y = rep.get(abs(x), [abs(x)])
+            return y if x > 0 else [-z for z in reversed(y)]
+
+        images = [[y for x in img for y in image(x)] for img in images]
+        for img in images:
+            changed = True
+            while changed:
+                changed = False
+                for k in range(len(img) - 1):
+                    if img[k] == -img[k + 1]:
+                        del img[k:k + 2]
+                        changed = True
+                        break
+    return tuple(tuple(img) for img in images)
+
+
+def test_action_matches_left_to_right_substitution():
+    rng = random.Random(41)
+    for _ in range(300):
+        word = rand_word(rng, rng.randint(1, 6), rng.randint(0, 14))
+        assert artin_action(word).images == _substitution_action(word)
+
+
+def test_budgeted_action_gives_up_or_agrees():
+    rng = random.Random(42)
+    gave_up = 0
+    for _ in range(200):
+        word = rand_word(rng, rng.randint(2, 5), rng.randint(0, 24))
+        full = braid._action_images(word, None)
+        budgeted = braid._action_images(word, 40)
+        assert budgeted is None or budgeted == full
+        gave_up += budgeted is None
+    assert 0 < gave_up < 200
+
+
 def test_free_reduce():
     assert free_reduce(BraidWord(3, (1, -1, 2))).letters == (2,)
     assert free_reduce(BraidWord(3, (1, 2, -2, -1))).letters == ()

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import braidtiles
-from braidtiles import braid
+from braidtiles import artin, braid
 from braidtiles.cli import main
 
 WITNESS_TILE = "(((F + P) ; P) + 1_1) ; P"
@@ -254,6 +254,19 @@ def test_hom_theta(capsys):
     code, out, _ = run(capsys, "hom", "theta", "--tile", WITNESS_TILE, "g2")
     assert code == 0
     assert out.strip() == "b5: s3 s2 s3^-1"
+
+
+def test_hom_theta_reads_the_word_without_building_relators(capsys, monkeypatch):
+    def refuse(graph):
+        raise AssertionError("presentation_from_graph called")
+
+    monkeypatch.setattr(artin, "presentation_from_graph", refuse)
+    code, out, _ = run(capsys, "hom", "theta", "--tile", WITNESS_TILE, "g2")
+    assert code == 0
+    assert out.strip() == "b5: s3 s2 s3^-1"
+    code, _, err = run(capsys, "hom", "theta", "--tile", WITNESS_TILE, "g9")
+    assert code == 2
+    assert err == "error: unknown generator 'g9'\n"
 
 
 def test_hom_phitile(capsys):

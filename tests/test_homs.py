@@ -181,6 +181,20 @@ def test_half_twist_kills_relators():
         assert braid.is_trivial(half_twist_image(WITNESS_GRAPH, rel))
 
 
+def test_half_twist_image_concatenates_band_words():
+    rng = random.Random(43)
+    pool = [expr for level in tiles.enumerate_trees(5) for expr in level[-30:]]
+    for expr in rng.sample(pool, 20):
+        graph = tiles.marked_graph_of(expr)
+        e = len(graph.edges)
+        word = [rng.choice([1, -1]) * rng.randint(1, e) for _ in range(rng.randint(0, 12) if e else 0)]
+        expected = BraidWord(graph.points, ())
+        for l in word:
+            band = band_generator(graph.points, *graph.edges[abs(l) - 1])
+            expected = expected * (band if l > 0 else band.inverse())
+        assert half_twist_image(graph, word) == expected
+
+
 def test_half_twist_letter_validation():
     with pytest.raises(ValueError):
         half_twist_image(WITNESS_GRAPH, (9,))
@@ -363,6 +377,26 @@ def test_wreath_is_multiplicative_under_the_wreath_law():
         )
         rhs = wreath_symplectic(q, g, sigma, [braid_to_symplectic(g, m) for m in mus])
         assert lhs == rhs
+
+
+def _dense_block_swap(q, block, width):
+    """Permutation matrix exchanging blocks ``block`` and ``block`` + 1."""
+    lo = (block - 1) * width
+    target = list(range(q * width))
+    target[lo:lo + 2 * width] = target[lo + width:lo + 2 * width] + target[lo:lo + width]
+    return ExactMatrix.from_rows([[int(b == target[a]) for b in range(q * width)] for a in range(q * width)])
+
+
+def test_wreath_matches_a_product_of_dense_block_swaps():
+    rng = random.Random(44)
+    for _ in range(60):
+        q, g = rng.randint(1, 4), rng.randint(1, 3)
+        sigma = rand_word(rng, q, rng.randint(0, 8))
+        fs = [braid_to_symplectic(g, rand_word(rng, 2 * g, rng.randint(0, 5))) for _ in range(q)]
+        expected = ExactMatrix.block_diagonal(fs)
+        for l in sigma.letters:
+            expected = expected * _dense_block_swap(q, abs(l), 2 * g)
+        assert wreath_symplectic(q, g, sigma, fs) == expected
 
 
 def test_wreath_validation():
