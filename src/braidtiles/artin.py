@@ -2,10 +2,10 @@
 nontriviality certificate.
 
 A graph yields a group with one generator per full edge.  Two edges that
-share a vertex satisfy the braid relation efe = fef; two disjoint edges
-commute.  The braid groups themselves arise this way from path graphs, and
-``braid_presentation`` emits the same relator shapes directly so the two
-can be compared as presentations.
+share a vertex (``graphs.edge_neighbors``) satisfy the braid relation
+efe = fef; two disjoint edges commute.  The braid groups themselves arise
+this way: ``braid_presentation`` is the path graph's presentation with its
+generators renamed s1, s2, ...
 
 Nontriviality is certified through the Coxeter quotient (add e² = 1): the
 quotient kills information, so a word whose reflection image is not the
@@ -17,15 +17,16 @@ the only Coxeter labels arising from graphs are 2 and 3.
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .graphs import MarkedGraph
+from .graphs import MarkedGraph, edge_neighbors
 # smith_normal_form stays importable from here: the benchmark's tracer test
 # (benchmarks/tests) patches and compares it as artin.smith_normal_form.
-from .linalg import ExactMatrix, invariant_factors, json_field, json_int, rank_one_product, smith_normal_form  # noqa: F401
+from .linalg import ExactMatrix, invariant_factors, json_field, json_int, json_list, rank_one_product, smith_normal_form  # noqa: F401
 
 Word = tuple[int, ...]
 
@@ -46,16 +47,14 @@ class Presentation:
         names = set(self.generators)
         if len(names) != len(self.generators):
             raise ValueError("duplicate generator names")
-        for rel in self.relators:
-            self.validate_word(rel)
+        self.validate_word(itertools.chain.from_iterable(self.relators))
 
     def validate_word(self, word: Iterable[int]) -> Word:
         w = tuple(word)
+        n = len(self.generators)
         for l in w:
-            if l == 0 or abs(l) > len(self.generators):
-                raise PresentationError(
-                    f"letter {l} outside generators 1..{len(self.generators)}"
-                )
+            if not 0 < abs(l) <= n:
+                raise PresentationError(f"letter {l} outside generators 1..{n}")
         return w
 
     def parse_word(self, text: str) -> Word:
@@ -83,16 +82,6 @@ class Presentation:
             self.generators[l - 1] if l > 0 else f"{self.generators[-l - 1]}^-1" for l in w
         )
 
-    def exponent_matrix(self) -> ExactMatrix:
-        """Relator-by-generator integer matrix of exponent sums."""
-        rows = []
-        for rel in self.relators:
-            row = [0] * len(self.generators)
-            for l in rel:
-                row[abs(l) - 1] += 1 if l > 0 else -1
-            rows.append(row)
-        return ExactMatrix.from_rows(rows, cols=len(self.generators))
-
     def to_json_obj(self) -> dict:
         return {"generators": list(self.generators), "relators": [list(r) for r in self.relators]}
 
@@ -101,9 +90,9 @@ class Presentation:
         if not isinstance(obj, dict):
             raise ValueError("presentation JSON must be an object with 'generators' and 'relators'")
         with json_field("presentation", "generators"):
-            generators = tuple(str(g) for g in obj["generators"])
+            generators = tuple(json_list(obj["generators"], str))
         with json_field("presentation", "relators"):
-            relators = tuple(tuple(json_int(l) for l in r) for r in obj.get("relators", ()))
+            relators = tuple(tuple(json_int(l) for l in r) for r in json_list(obj.get("relators", []), list))
         return Presentation(generators, relators)
 
     def __str__(self) -> str:
@@ -112,25 +101,13 @@ class Presentation:
         return f"< {gens} | {rels} >" if self.relators else f"< {gens} | >"
 
 
-def _braid_relator(i: int, j: int) -> Word:
-    return (i, j, i, -j, -i, -j)
-
-
-def _commutator_relator(i: int, j: int) -> Word:
-    return (i, j, -i, -j)
-
-
 def braid_presentation(k: int) -> Presentation:
-    """Standard presentation of the braid group on k strands: generators
-    s1..s(k-1), braid relators for adjacent indices, commutators otherwise."""
+    """Standard presentation of the braid group on k strands: the path
+    graph's presentation with generators renamed s1..s(k-1)."""
     if k < 1:
         raise ValueError("strand count must be >= 1")
-    gens = tuple(f"s{i}" for i in range(1, k))
-    relators: list[Word] = []
-    for i in range(1, k):
-        for j in range(i + 1, k):
-            relators.append(_braid_relator(i, j) if j == i + 1 else _commutator_relator(i, j))
-    return Presentation(gens, tuple(relators))
+    pres = presentation_from_graph(MarkedGraph.path(k))
+    return Presentation(tuple(f"s{i}" for i in range(1, k)), pres.relators)
 
 
 def edge_generators(graph: MarkedGraph) -> tuple[str, ...]:
@@ -142,15 +119,12 @@ def presentation_from_graph(graph: MarkedGraph) -> Presentation:
     """Artin group of the graph: one generator per full edge (see
     ``edge_generators``), braid relator for each pair of edges sharing a
     vertex, commutator for each disjoint pair."""
-    edges = graph.edges
-    relators: list[Word] = []
-    for a in range(len(edges)):
-        for b in range(a + 1, len(edges)):
-            adjacent = bool(set(edges[a]) & set(edges[b]))
-            relators.append(
-                _braid_relator(a + 1, b + 1) if adjacent else _commutator_relator(a + 1, b + 1)
-            )
-    return Presentation(edge_generators(graph), tuple(relators))
+    neighbors = edge_neighbors(graph.edges)
+    relators = tuple(
+        (a, b, a, -b, -a, -b) if b - 1 in neighbors[a - 1] else (a, b, -a, -b)
+        for a, b in itertools.combinations(range(1, len(neighbors) + 1), 2)
+    )
+    return Presentation(edge_generators(graph), relators)
 
 
 @dataclass(frozen=True)
@@ -173,8 +147,18 @@ class AbelianInvariants:
 
 
 def abelianization(pres: Presentation) -> AbelianInvariants:
-    """Invariant factors of the exponent-sum matrix via Smith normal form."""
-    factors = invariant_factors(pres.exponent_matrix())
+    """Invariant factors of the relators' exponent-sum rows via Smith normal
+    form.  Zero and repeated rows leave the row lattice unchanged, so only
+    the distinct nonzero rows are built (a graph's commutators give none)."""
+    n = len(pres.generators)
+    rows: dict[tuple[int, ...], None] = {}
+    for rel in pres.relators:
+        row = [0] * n
+        for l in rel:
+            row[abs(l) - 1] += 1 if l > 0 else -1
+        if any(row):
+            rows[tuple(row)] = None
+    factors = invariant_factors(ExactMatrix.from_rows(list(rows), cols=n))
     return AbelianInvariants(
         free_rank=len(pres.generators) - len(factors),
         torsion=tuple(f for f in factors if f > 1),
@@ -203,16 +187,11 @@ class CoxeterSystem:
 
     @staticmethod
     def from_graph(graph: MarkedGraph) -> "CoxeterSystem":
-        edges = graph.edges
-        r = len(edges)
-        labels = [
-            [
-                1 if a == b else (3 if set(edges[a]) & set(edges[b]) else 2)
-                for b in range(r)
-            ]
-            for a in range(r)
-        ]
-        return CoxeterSystem(tuple(tuple(row) for row in labels))
+        neighbors = edge_neighbors(graph.edges)
+        r = len(neighbors)
+        return CoxeterSystem(tuple(
+            tuple(1 if a == b else 3 if b in neighbors[a] else 2 for b in range(r)) for a in range(r)
+        ))
 
     @property
     def rank(self) -> int:

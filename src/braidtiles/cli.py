@@ -8,8 +8,9 @@ every subcommand to a machine-readable object on stdout.
 
 Exit codes: 0 for answered queries and passing verification, 1 for a
 failing verification suite, 2 for usage, parse or input errors, 3 for an
-internal failure (the word-problem routes disagree, or handle reduction
-exceeds its step budget).  Errors print ``error: ...`` on stderr.
+internal failure (the word-problem routes disagree, handle reduction
+exceeds its step budget, or an input is too large for memory, such as
+``b1000000000000: e``).  Errors print ``error: ...`` on stderr.
 """
 
 from __future__ import annotations
@@ -273,6 +274,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory: the input is too large", file=sys.stderr)
         return 3
     code, quiet = 0, args.quiet
     if isinstance(result, Report):  # a suite itemizes its non-passing checks even when quiet

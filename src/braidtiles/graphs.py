@@ -10,11 +10,27 @@ edge.  Only full edges count for degrees and for the Artin presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .linalg import json_field, json_int
 
 _SIDES = ("in", "out")
+
+
+def edge_neighbors(edges: Sequence[tuple[int, int]]) -> list[set[int]]:
+    """For each edge (0-based index), the indices of the other edges that
+    share a vertex with it, read off the edges at each vertex: the one
+    adjacency rule of the package (adjacent edges braid, others commute)."""
+    at: dict[int, list[int]] = {}
+    for i, (a, b) in enumerate(edges):
+        at.setdefault(a, []).append(i)
+        at.setdefault(b, []).append(i)
+    neighbors = []
+    for i, (a, b) in enumerate(edges):
+        around = {*at[a], *at[b]}
+        around.discard(i)
+        neighbors.append(around)
+    return neighbors
 
 
 @dataclass(frozen=True, order=True)

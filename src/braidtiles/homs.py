@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .artin import Presentation
 from .braid import BraidWord, cable, mirror, underlying_permutation
-from .graphs import MarkedGraph
+from .graphs import MarkedGraph, edge_neighbors
 from .linalg import ExactMatrix, SymplecticForm, is_symplectic, rank_one_product
 from .reporting import CheckRecord, Report
 
@@ -126,12 +126,13 @@ class EdgeTransvectionRep:
         e = len(self.edges)
         if self.pairing.rows != e or self.pairing.cols != e:
             raise ValueError("pairing matrix must be square on the edge set")
+        neighbors = edge_neighbors(self.edges)
         for a in range(e):
             for b in range(e):
                 v = self.pairing.entries[a][b]
                 if v != -self.pairing.entries[b][a]:
                     raise ValueError("pairing must be skew-symmetric")
-                adjacent = a != b and bool(set(self.edges[a]) & set(self.edges[b]))
+                adjacent = b in neighbors[a]
                 if adjacent and v not in (1, -1):
                     raise ValueError(f"adjacent edges {a + 1},{b + 1} must pair to ±1")
                 if not adjacent and v != 0:
@@ -143,18 +144,18 @@ class EdgeTransvectionRep:
         assigns the pairing of each adjacent pair (a, b), a < b, 0-based;
         the default is +1.  Any assignment satisfies the Artin relations,
         so the choice is a convention, tested under all of them."""
-        edges = graph.edges
-        e = len(edges)
+        neighbors = edge_neighbors(graph.edges)
+        e = len(neighbors)
         rows = [[0] * e for _ in range(e)]
         for a in range(e):
-            for b in range(a + 1, e):
-                if set(edges[a]) & set(edges[b]):
+            for b in sorted(neighbors[a]):
+                if a < b:
                     s = signs.get((a, b), 1) if signs else 1
                     if s not in (1, -1):
                         raise ValueError(f"sign for pair ({a}, {b}) must be ±1")
                     rows[a][b] = s
                     rows[b][a] = -s
-        return EdgeTransvectionRep(edges, ExactMatrix.from_rows(rows, cols=e))
+        return EdgeTransvectionRep(graph.edges, ExactMatrix.from_rows(rows, cols=e))
 
     def _factor(self, index: int) -> tuple[list[int], list[int]]:
         """(u, d) of the transvection along edge ``index`` (1-based): the

@@ -60,6 +60,18 @@ def json_int(x: object) -> int:
     return x
 
 
+def json_list(x: object, item: type) -> list:
+    """A JSON array whose entries are all of type ``item``; a string, an
+    object or an array with any other entry raises TypeError instead of
+    being iterated as if it were the array."""
+    if not isinstance(x, list):
+        raise TypeError(f"expected a list, got {type(x).__name__}")
+    for v in x:
+        if not isinstance(v, item):
+            raise TypeError(f"expected a list of {item.__name__}, got entry {v!r}")
+    return x
+
+
 def format_scalar(x: Scalar) -> str:
     if isinstance(x, Fraction) and x.denominator != 1:
         return f"{x.numerator}/{x.denominator}"
@@ -389,9 +401,7 @@ def smith_normal_form(m: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMa
 
 
 def invariant_factors(m: ExactMatrix) -> tuple[int, ...]:
-    """Nonzero diagonal entries of the Smith normal form, in order.  Zero and
-    repeated rows leave the row lattice, hence these, unchanged, so they are
-    dropped first (most exponent rows of a graph presentation are zero)."""
-    rows = [row for row in dict.fromkeys(m.entries) if any(row)]
-    d, _, _ = smith_normal_form(ExactMatrix.from_rows(rows, cols=m.cols))
+    """Nonzero diagonal entries of the Smith normal form of m, in order; they
+    depend only on the row lattice of m."""
+    d, _, _ = smith_normal_form(m)
     return tuple(d.entries[i][i] for i in range(min(d.rows, d.cols)) if d.entries[i][i])

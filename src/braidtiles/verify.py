@@ -365,6 +365,10 @@ def _check_random_wreath(seed: int, genus: int) -> Outcome:
 
 def random_suite(seed: int = 0, max_len: int = 16, genus: int = 2) -> Report:
     """Seeded spot checks of the core algebraic properties on fresh samples."""
+    if genus < 1:
+        raise ValueError(f"genus must be at least 1, got {genus}")
+    if max_len < 0:
+        raise ValueError(f"maximum word length must be nonnegative, got {max_len}")
     checks = (
         _run("random-word-problem", lambda: _check_random_words(seed, max_len)),
         _run("random-symplectic-images", lambda: _check_random_inverses(seed, max_len, genus)),

@@ -17,20 +17,35 @@ from braidtiles.artin import (
     certify_nontrivial,
     presentation_from_graph,
 )
-from braidtiles.graphs import MarkedGraph
+from braidtiles.graphs import MarkedGraph, edge_neighbors
 from braidtiles.linalg import ExactMatrix
 
 WITNESS_GRAPH = MarkedGraph(5, ((1, 2), (2, 4), (3, 4), (4, 5)))
 
 
 def test_braid_presentation_frozen():
-    p = braid_presentation(4)
-    assert p.generators == ("s1", "s2", "s3")
-    assert p.relators == (
-        (1, 2, 1, -2, -1, -2),
-        (1, 3, -1, -3),
-        (2, 3, 2, -3, -2, -3),
+    braid_12, braid_23, braid_34, braid_45 = (
+        (1, 2, 1, -2, -1, -2), (2, 3, 2, -3, -2, -3), (3, 4, 3, -4, -3, -4), (4, 5, 4, -5, -4, -5)
     )
+    expected = {
+        1: (),
+        2: (),
+        3: (braid_12,),
+        4: (braid_12, (1, 3, -1, -3), braid_23),
+        5: (braid_12, (1, 3, -1, -3), (1, 4, -1, -4), braid_23, (2, 4, -2, -4), braid_34),
+        6: (
+            braid_12, (1, 3, -1, -3), (1, 4, -1, -4), (1, 5, -1, -5),
+            braid_23, (2, 4, -2, -4), (2, 5, -2, -5),
+            braid_34, (3, 5, -3, -5),
+            braid_45,
+        ),
+    }
+    for k, relators in expected.items():
+        p = braid_presentation(k)
+        assert p.generators == tuple(f"s{i}" for i in range(1, k))
+        assert p.relators == relators
+    with pytest.raises(ValueError):
+        braid_presentation(0)
 
 
 def test_braid_presentation_relator_counts():
@@ -81,6 +96,47 @@ def test_graph_presentation_adjacency():
     assert (1, 2, 1, -2, -1, -2) in p.relators
     assert (1, 3, -1, -3) in p.relators
     assert len(p.relators) == 6
+
+
+def _sample_graphs() -> list[MarkedGraph]:
+    """Every distinct graph of the tiles with at most 4 atoms, plus random
+    graphs with isolated points, no edges, and vertices of degree 3 or more."""
+    seen = {}
+    for tile in tiles.enumerate_tiles(4):
+        g = tiles.marked_graph_of(tile)
+        seen.setdefault((g.points, g.edges), g.without_half_edges())
+    graphs = list(seen.values())
+    graphs += [MarkedGraph(0, ()), MarkedGraph(5, ()), MarkedGraph(4, ((1, 2), (1, 3), (1, 4)))]
+    rng = random.Random(17)
+    for _ in range(60):
+        points = rng.randint(1, 9)
+        pairs = list(itertools.combinations(range(1, points + 1), 2))
+        graphs.append(MarkedGraph(points, tuple(rng.sample(pairs, rng.randint(0, min(len(pairs), 12))))))
+    assert any(g.max_degree() >= 3 for g in graphs)
+    assert any(g.points and g.max_degree() == 0 for g in graphs)
+    assert any(any(g.degree(v) == 0 for v in range(1, g.points + 1)) and g.edges for g in graphs)
+    return graphs
+
+
+def test_edge_neighbors_is_the_shared_vertex_rule():
+    for g in _sample_graphs():
+        shares = lambda a, b: a != b and len({*g.edges[a], *g.edges[b]}) < 4
+        expected = [{b for b in range(len(g.edges)) if shares(a, b)} for a in range(len(g.edges))]
+        assert edge_neighbors(g.edges) == expected, g
+
+
+def test_graph_presentation_pair_by_pair():
+    for g in _sample_graphs():
+        relators = []
+        for a, b in itertools.combinations(range(1, len(g.edges) + 1), 2):
+            (p, q), (r, t) = g.edges[a - 1], g.edges[b - 1]
+            if p in (r, t) or q in (r, t):
+                relators.append((a, b, a, -b, -a, -b))
+            else:
+                relators.append((a, b, -a, -b))
+        pres = presentation_from_graph(g)
+        assert pres.generators == tuple(f"g{i}" for i in range(1, len(g.edges) + 1))
+        assert pres.relators == tuple(relators), g
 
 
 def test_stacked_interval_graph_matches_braid_presentation():
@@ -179,6 +235,17 @@ def test_abelianization_against_minor_oracle():
             for _ in range(rng.randint(0, 3))
         )
         pres = Presentation(tuple(f"x{i}" for i in range(1, gens + 1)), rels)
+        inv = abelianization(pres)
+        assert (inv.free_rank, inv.torsion) == _abelianization_oracle(pres)
+    # empty relators, relators with zero exponent sums, and repeated relators
+    for _ in range(20):
+        gens = rng.randint(1, 3)
+        letter = lambda: rng.choice([1, -1]) * rng.randint(1, gens)
+        base = [tuple(letter() for _ in range(rng.randint(1, 3))) for _ in range(rng.randint(1, 3))]
+        rels = base + [(), (), rng.choice(base), rng.choice(base)[::-1]]
+        rels += [(l, -l) for l in (letter(), letter())]
+        rng.shuffle(rels)
+        pres = Presentation(tuple(f"x{i}" for i in range(1, gens + 1)), tuple(rels))
         inv = abelianization(pres)
         assert (inv.free_rank, inv.torsion) == _abelianization_oracle(pres)
 

@@ -177,15 +177,21 @@ def test_artin_unknown_generator_exits_2(capsys):
         ("artin", "abelianize", "--graph", '{"points": "3"}'),
         ("artin", "abelianize", "--graph", '{"points": 3, "edges": [[1, 2.5]]}'),
         ("artin", "abelianize", "--presentation", '{"generators": ["a"], "relators": [[1.0]]}'),
+        ("artin", "abelianize", "--presentation", '{"generators": "ab", "relators": []}'),
+        ("artin", "abelianize", "--presentation", '{"generators": [1, 1.5], "relators": []}'),
+        ("artin", "abelianize", "--presentation", '{"generators": {"a": 1}, "relators": {}}'),
     ],
     ids=["not-json", "graph-empty-object", "graph-list", "graph-infinite-points", "presentation-empty-object",
          "blocks-not-matrices", "blocks-zero-denominator", "graph-bool-points", "graph-string-points",
-         "graph-float-edge-end", "presentation-float-letter"],
+         "graph-float-edge-end", "presentation-float-letter", "presentation-string-generators",
+         "presentation-number-generators", "presentation-object-fields"],
 )
 def test_artin_bad_graph_json_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+    if "--presentation" in argv and argv[-1] != "{}":
+        assert "presentation JSON field" in err
 
 
 @pytest.mark.parametrize("flag", ["--graph", "--presentation"])
@@ -340,6 +346,43 @@ def test_verify_random_deterministic(capsys):
     _, out2, _ = run(capsys, "verify", "random", "--json", "--seed", "9", "--max-len", "6", "--genus", "1")
     strip = lambda obj: [(c["name"], c["status"], c["details"]) for c in obj["checks"]]
     assert strip(json.loads(out1)) == strip(json.loads(out2))
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(("--genus", "0"), "genus"), (("--max-len", "-3"), "length")],
+    ids=["genus-0", "max-len-negative"],
+)
+def test_verify_random_bad_arguments_exit_2(capsys, flags, message):
+    code, out, err = run(capsys, "verify", "random", "--seed", "5", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("braid", "trivial", "b1000000000000: e"), ("braid", "reduce", "b1000000000000: s1"),
+     ("tile", "tree", "1_1000000000000")],
+    ids=["trivial", "reduce", "tile-tree"],
+)
+def test_oversized_input_exits_3_in_a_fresh_interpreter(argv):
+    # Run only under an address-space limit: these inputs ask for about a
+    # trillion list slots, and some paths would take them one at a time.
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(braidtiles.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidtiles.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def test_no_arguments_exits_2(capsys):
