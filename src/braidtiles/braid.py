@@ -13,13 +13,19 @@ letter until none remains.  A fully reduced word is empty or keeps a
 constant sign on its lowest-index generator, and the latter kind is never
 trivial, so emptiness decides.  ``is_trivial`` cross-checks the two
 routes and raises ``WordProblemMismatch`` if they ever disagree.
+
+The action folds letters in from the right, so the oracle images of l w
+are those of w plus one letter step.  ``_suffix_walk`` uses this to give
+every word up to a length its images at one step per word; the exhaustive
+agreement gate in ``verify`` walks it and still runs handle reduction on
+each word on its own.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # Words at most this long get the free-group cross-check by default.
 ORACLE_AUTO_LIMIT = 64
@@ -119,9 +125,13 @@ class BraidWord:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("strand count must be at least 1")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for l in self.letters:
-            if not isinstance(l, int) or l == 0 or abs(l) > self.n - 1:
+        letters = self.letters
+        if type(letters) is not tuple:
+            letters = tuple(letters)
+            object.__setattr__(self, "letters", letters)
+        top = self.n - 1
+        for l in letters:
+            if not (isinstance(l, int) and (0 < l <= top or -top <= l < 0)):
                 raise ValueError(f"letter {l!r} is not a generator index of a {self.n}-strand braid")
 
     @staticmethod
@@ -204,13 +214,23 @@ def underlying_permutation(word: BraidWord) -> Permutation:
 
 def _action_images(word: BraidWord, budget: int | None) -> list[list[int]] | None:
     """Images of the generators under the word's action, or None once the
-    images under a suffix of the word exceed ``budget`` letters in total.
+    images under a suffix of the word exceed ``budget`` letters in total."""
+    return _fold_letters([[i] for i in range(1, word.n + 1)], word.letters, budget)
+
+
+def _fold_letters(images: list[list[int]], letters: Sequence[int], budget: int | None) -> list[list[int]] | None:
+    """Turn the images under a word w into the images under ``letters`` w,
+    in place, or return None once their total length exceeds ``budget``.
     Letters fold in from the right: with a, b the images of x_i, x_{i+1}
     under w, sigma_i w sends x_i to a b a^-1 and x_{i+1} to a, sigma_i^-1 w
-    sends x_i to b and x_{i+1} to b^-1 a b, and other images stay."""
-    images: list[list[int]] = [[i] for i in range(1, word.n + 1)]
-    total = word.n
-    for l in reversed(word.letters):
+    sends x_i to b and x_{i+1} to b^-1 a b, and other images stay.
+
+    Only the slots of ``images`` are rebound; no image list is mutated once
+    built (``a[:]`` and ``_inverse`` copy before ``_free_reduce`` pushes).
+    So a copy of the outer list can be folded further while the original
+    keeps sharing its image lists, which is what ``_suffix_walk`` relies on."""
+    total = 0 if budget is None else sum(map(len, images))
+    for l in reversed(letters):
         i = abs(l)
         a, b = images[i - 1], images[i]
         if l > 0:
@@ -221,6 +241,28 @@ def _action_images(word: BraidWord, budget: int | None) -> list[list[int]] | Non
         if budget is not None and total > budget:
             return None
     return images
+
+
+def _suffix_walk(n: int, depth: int) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
+    """Every n-strand word of length at most ``depth`` with its action
+    images, as ``(letters, images)``; each word is yielded once.
+
+    The walk is depth first over the suffix tree: the children of w are
+    the words l w, and a child's images are its parent's images folded
+    with the one letter l, so each word costs one letter step rather than
+    one per letter.  The stack holds at most 1 + depth * (2(n-1) - 1)
+    entries.  The yielded image lists are shared with other words: read
+    them, never mutate them."""
+    alphabet = [s * i for i in range(1, n) for s in (1, -1)]
+    stack = [((), [[i] for i in range(1, n + 1)])]
+    while stack:
+        letters, images = stack.pop()
+        yield letters, images
+        if len(letters) < depth:
+            for l in alphabet:
+                # A copy of the slots only: the image lists stay shared with
+                # the parent, safe because _fold_letters never mutates them.
+                stack.append(((l,) + letters, _fold_letters(images[:], (l,), None)))
 
 
 def artin_action(word: BraidWord) -> FreeGroupEndo:

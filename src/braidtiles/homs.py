@@ -280,8 +280,9 @@ def check_relations(
 
     ``images`` maps generator names (or positions, if a sequence) to group
     elements; ``invert`` is required as soon as some relator uses an
-    inverse letter.  Each relator yields one pass/fail record; a relator
-    passes when its image satisfies ``is_identity``."""
+    inverse letter, and runs at most once per generator.  Each relator
+    yields one pass/fail record; a relator passes when its image satisfies
+    ``is_identity``."""
     if isinstance(images, Mapping):
         missing = [g for g in pres.generators if g not in images]
         if missing:
@@ -293,6 +294,7 @@ def check_relations(
                 f"expected {len(pres.generators)} images, got {len(images)}"
             )
         by_index = list(images)
+    inverses: dict[int, T] = {}  # generator index -> its inverse, computed on first use
     checks: list[CheckRecord] = []
     for idx, rel in enumerate(pres.relators, start=1):
         started = time.perf_counter()
@@ -302,11 +304,14 @@ def check_relations(
             continue
         value: T | None = None
         for l in rel:
-            factor = by_index[abs(l) - 1]
-            if l < 0:
-                if invert is None:
-                    raise ValueError("relator uses an inverse letter but no invert was given")
-                factor = invert(factor)
+            if l > 0:
+                factor = by_index[l - 1]
+            elif -l in inverses:
+                factor = inverses[-l]
+            elif invert is None:
+                raise ValueError("relator uses an inverse letter but no invert was given")
+            else:
+                factor = inverses[-l] = invert(by_index[-l - 1])
             value = factor if value is None else multiply(value, factor)
         assert value is not None
         ok = is_identity(value)

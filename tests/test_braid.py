@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 
 import pytest
 
@@ -46,6 +48,29 @@ def test_word_validation():
     with pytest.raises(ValueError):
         BraidWord(3, (3,))
     assert BraidWord(1, ()).n == 1  # one strand, no generators
+
+
+@pytest.mark.parametrize("n, letters", [
+    (3, (True, -1, 2)),     # bool is an int, and True is generator 1
+    (3, [1, -2]),           # any iterable of ints, stored as a tuple
+    (2, (1, -1, 1)),
+    (5, ()),
+])
+def test_word_validation_accepts(n, letters):
+    assert BraidWord(n, letters).letters == tuple(letters)
+
+
+@pytest.mark.parametrize("n, letters, bad", [
+    (3, (1, 1.0, 0), "1.0"),         # a float equal to a generator index is not one
+    (3, (2, 0, 5), "0"),
+    (3, (1, -3, 5), "-3"),           # the first bad letter is named
+    (3, (3,), "3"),
+    (2, (False,), "False"),
+    (4, (1, "2"), "'2'"),
+])
+def test_word_validation_names_the_first_bad_letter(n, letters, bad):
+    with pytest.raises(ValueError, match=re.escape(f"letter {bad} is not a generator index of a {n}-strand braid")):
+        BraidWord(n, letters)
 
 
 def test_mul_requires_same_strand_count():
@@ -192,6 +217,32 @@ def test_budgeted_action_gives_up_or_agrees():
         assert budgeted is None or budgeted == full
         gave_up += budgeted is None
     assert 0 < gave_up < 200
+
+
+def test_suffix_walk_yields_every_word_once():
+    walked = sorted(letters for letters, _ in braid._suffix_walk(3, 8))
+    enumerated = sorted(letters for length in range(9)
+                        for letters in itertools.product((1, -1, 2, -2), repeat=length))
+    assert len(walked) == 87_381
+    assert walked == enumerated
+
+
+def test_suffix_walk_images_are_the_action():
+    for letters, images in braid._suffix_walk(3, 6):
+        assert tuple(map(tuple, images)) == artin_action(BraidWord(3, letters)).images, letters
+
+
+def test_suffix_walk_leaves_parent_images_alone():
+    seen = {}
+    shared = 0
+    for letters, images in braid._suffix_walk(4, 3):
+        seen[letters] = (images, [img[:] for img in images])
+        if letters:
+            parent, _ = seen[letters[1:]]
+            shared += sum(any(img is p for p in parent) for img in images)
+    assert shared > 0  # children reuse their parent's image lists...
+    for images, snapshot in seen.values():
+        assert images == snapshot  # ...and generating them changed none
 
 
 def test_free_reduce():

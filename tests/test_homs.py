@@ -543,3 +543,19 @@ def test_check_relations_requires_invert_for_inverse_letters():
             multiply=lambda a, b: a * b,
             is_identity=lambda m: m.is_identity(),
         )
+
+
+def test_check_relations_inverts_each_generator_at_most_once():
+    pres = artin.braid_presentation(4)
+    images = {f"s{i}": braid_to_symplectic(2, BraidWord.generator(4, i)) for i in range(1, 4)}
+    inverted = []
+
+    def invert(m):
+        inverted.append(m)
+        return m.inverse()
+
+    report = check_relations(pres, images, lambda a, b: a * b, lambda m: m.is_identity(), invert=invert)
+    assert report.passed
+    used_inversely = {abs(l) for rel in pres.relators for l in rel if l < 0}
+    assert len(inverted) == len(used_inversely) > 0
+    assert len({id(m) for m in inverted}) == len(inverted)
