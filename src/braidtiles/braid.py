@@ -16,9 +16,10 @@ routes and raises ``WordProblemMismatch`` if they ever disagree.
 
 The action folds letters in from the right, so the oracle images of l w
 are those of w plus one letter step.  ``_suffix_walk`` uses this to give
-every word up to a length its images at one step per word; the exhaustive
+every word up to a length its images at one step per word.  The exhaustive
 agreement gate in ``verify`` walks it and still runs handle reduction on
-each word on its own.
+each word on its own, on the bare letter tuple: ``_handle_reduce_letters``
+is the kernel that ``handle_reduce`` wraps in a ``BraidWord``.
 """
 
 from __future__ import annotations
@@ -276,11 +277,12 @@ def artin_action(word: BraidWord) -> FreeGroupEndo:
     return FreeGroupEndo(word.n, tuple(tuple(w) for w in images))
 
 
-def _first_handle(word: Sequence[int], n: int) -> tuple[int, int] | None:
+def _first_handle(word: Sequence[int], size: int) -> tuple[int, int] | None:
     """Leftmost-closing handle (s, t): word[s..t] = s_i^e ... s_i^-e with
     every interior letter of index > i.  Such a handle contains no nested
-    handle, so rewriting it is always permitted."""
-    last = [-1] * n  # last[i]: most recent position of a letter of index i
+    handle, so rewriting it is always permitted.  ``size`` exceeds every
+    letter index of the word."""
+    last = [-1] * size  # last[i]: most recent position of a letter of index i
     for t, l in enumerate(word):
         i = abs(l)
         p = last[i]
@@ -303,18 +305,26 @@ def _reduce_handle(word: list[int], s: int, t: int) -> list[int]:
     return word[:s] + mid + word[t + 1:]
 
 
-def handle_reduce(word: BraidWord) -> BraidWord:
-    """Fully handle-reduced word representing the same braid."""
-    letters = _free_reduce(word.letters)
+def _handle_reduce_letters(letters: Sequence[int]) -> list[int]:
+    """Letters of the fully handle-reduced word: rewrite the leftmost-closing
+    handle until none remains.  A rewrite adds no letter of a new index, so
+    the handle table is sized once, by the freely reduced input."""
+    letters = _free_reduce(letters)
+    size = max(map(abs, letters), default=0) + 1
     steps = 0
     while True:
-        h = _first_handle(letters, word.n)
+        h = _first_handle(letters, size)
         if h is None:
-            return BraidWord(word.n, tuple(letters))
+            return letters
         letters = _free_reduce(_reduce_handle(letters, *h))
         steps += 1
         if steps > _HANDLE_STEP_LIMIT:
             raise RuntimeError("handle reduction exceeded its step budget")
+
+
+def handle_reduce(word: BraidWord) -> BraidWord:
+    """Fully handle-reduced word representing the same braid."""
+    return BraidWord(word.n, tuple(_handle_reduce_letters(word.letters)))
 
 
 def is_trivial(word: BraidWord, *, oracle: bool | None = None) -> bool:

@@ -89,28 +89,34 @@ def braid_to_symplectic(g: int, word: BraidWord) -> ExactMatrix:
     return rank_one_product(2 * g, lambda i: _transvection_factor(classes[i - 1]), word.letters)
 
 
+def _band_letters(i: int, j: int) -> list[int]:
+    """Letters of the band generator on strands i < j, unchecked."""
+    return [*range(j - 1, i, -1), i, *range(-i - 1, -j, -1)]
+
+
 def band_generator(k: int, i: int, j: int) -> BraidWord:
     """Half twist exchanging strands i < j along a band passing in front of
     the strands between them: (s_{j-1} ... s_{i+1}) s_i (s_{i+1}^-1 ... s_{j-1}^-1)."""
     if not (1 <= i < j <= k):
         raise ValueError(f"need 1 <= i < j <= {k}, got ({i}, {j})")
-    letters = [m for m in range(j - 1, i, -1)] + [i] + [-m for m in range(i + 1, j)]
-    return BraidWord(k, tuple(letters))
+    return BraidWord(k, tuple(_band_letters(i, j)))
 
 
 def half_twist_image(graph: MarkedGraph, word: Iterable[int]) -> BraidWord:
     """Braid image of a word in the graph's Artin generators: the edge
     between points i < j maps to the band generator on (i, j), on as many
     strands as the graph has points."""
-    k = graph.points
     edges = graph.edges
     letters: list[int] = []
     for l in word:
         if l == 0 or abs(l) > len(edges):
             raise ValueError(f"letter {l} outside edge generators 1..{len(edges)}")
-        band = band_generator(k, *edges[abs(l) - 1])
-        letters += (band if l > 0 else band.inverse()).letters
-    return BraidWord(k, tuple(letters))
+        i, j = edges[abs(l) - 1]
+        band = _band_letters(i, j)
+        if l < 0:  # the band is a conjugate of s_i, so its inverse flips only s_i
+            band[j - i - 1] = -i
+        letters += band
+    return BraidWord(graph.points, tuple(letters))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .artin import Presentation, presentation_from_graph
 from .graphs import HalfEdge, MarkedGraph
@@ -461,6 +461,27 @@ def _graph_of(tags: Sequence[str], inputs: Sequence[Sequence[Ref]], outputs: Seq
     return MarkedGraph(sum(map(len, labels)), tuple(edges), tuple(halves))
 
 
+def _shifted_edges(edges: Sequence[tuple[int, int]], points: int) -> tuple[tuple[int, int], ...]:
+    return tuple((a + points, b + points) for a, b in edges)
+
+
+def _union_graph(parts: Iterable[tuple[MarkedGraph, int, int]]) -> MarkedGraph:
+    """Marked graph of a side-by-side union, from the graph, dom and cod of
+    each part, left to right.  Union glues no wire, so each part keeps its
+    edges and half-edges: its points shift by the points before it, its
+    ``in`` intervals by the doms before it and its ``out`` intervals by the
+    cods before it."""
+    points = dom = cod = 0
+    edges: list[tuple[int, int]] = []
+    halves: list[HalfEdge] = []
+    for g, part_dom, part_cod in parts:
+        edges += _shifted_edges(g.edges, points)
+        halves += (HalfEdge(h.point + points, h.side, h.interval + (dom if h.side == "in" else cod))
+                   for h in g.half_edges)
+        points, dom, cod = points + g.points, dom + part_dom, cod + part_cod
+    return MarkedGraph(points, tuple(edges), tuple(halves))
+
+
 def marked_graph_of(tile: TileExpr | TileNormalForm) -> MarkedGraph:
     """The tile's marked graph: points in the package's planar order, edges
     from F's internal join and from glued wires, half-edges at the
@@ -480,30 +501,6 @@ def marked_point_count(tile: TileExpr | TileNormalForm) -> int:
 def endomorphism_presentation(tile: TileExpr | TileNormalForm) -> Presentation:
     """Artin presentation on the full edges of the tile's marked graph."""
     return presentation_from_graph(marked_graph_of(tile))
-
-
-def compose_point_maps(t1: TileExpr, t2: TileExpr) -> tuple[dict[int, int], dict[int, int]]:
-    """Injections of the marked points of t1 and of t2 into those of
-    ``compose(t1, t2)``, by point label."""
-    return _part_point_maps(t1, t2, ComposeExpr(t1, t2))
-
-
-def union_point_maps(t1: TileExpr, t2: TileExpr) -> tuple[dict[int, int], dict[int, int]]:
-    """Same for ``disjoint_union(t1, t2)``."""
-    return _part_point_maps(t1, t2, UnionExpr(t1, t2))
-
-
-def _part_point_maps(t1: TileExpr, t2: TileExpr, whole: TileExpr) -> tuple[dict[int, int], dict[int, int]]:
-    d1 = _diagram(t1)
-    d2 = _diagram(t2)
-    d = _diagram(whole)  # nodes of t1 keep their ids, nodes of t2 shift up
-    shift = len(d1.tags)
-    l1 = _point_labels(d1.tags, d1.inputs, d1.outputs)
-    l2 = _point_labels(d2.tags, d2.inputs, d2.outputs)
-    l = _point_labels(d.tags, d.inputs, d.outputs)
-    inj1 = {v: w for r, part in enumerate(l1) for v, w in zip(part, l[r])}
-    inj2 = {v: w for r, part in enumerate(l2) for v, w in zip(part, l[r + shift])}
-    return inj1, inj2
 
 
 # -- enumeration ---------------------------------------------------------

@@ -268,6 +268,13 @@ def test_handle_reduce_examples():
     assert handle_reduce(w("b3: s1 s2")).letters != ()
 
 
+def test_handle_reduce_cost_follows_the_letters_not_the_strand_count():
+    # the handle table is sized by the word's largest index, so a trillion
+    # strands ask for no more slots than three
+    assert handle_reduce(BraidWord(10**12, (1, -1))) == BraidWord(10**12, ())
+    assert handle_reduce(BraidWord(10**12, (1, 2, -1))) == BraidWord(10**12, (-2, 1, 2))
+
+
 def test_nontrivial_words():
     assert not is_trivial(w("b3: s1"))
     assert not is_trivial(w("b3: s1 s2 s1 s2 s1 s2"))  # full twist squared root

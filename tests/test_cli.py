@@ -360,13 +360,7 @@ def test_verify_random_bad_arguments_exit_2(capsys, flags, message):
     assert err.startswith("error:") and message in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [("braid", "trivial", "b1000000000000: e"), ("braid", "reduce", "b1000000000000: s1"),
-     ("tile", "tree", "1_1000000000000")],
-    ids=["trivial", "reduce", "tile-tree"],
-)
-def test_oversized_input_exits_3_in_a_fresh_interpreter(argv):
+def _run_under_a_memory_limit(argv):
     # Run only under an address-space limit: these inputs ask for about a
     # trillion list slots, and some paths would take them one at a time.
     resource = pytest.importorskip("resource")
@@ -376,13 +370,30 @@ def test_oversized_input_exits_3_in_a_fresh_interpreter(argv):
 
     src = str(Path(braidtiles.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "braidtiles.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_memory,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("braid", "trivial", "b1000000000000: e"), ("tile", "tree", "1_1000000000000")],
+    ids=["trivial", "tile-tree"],
+)
+def test_oversized_input_exits_3_in_a_fresh_interpreter(argv):
+    proc = _run_under_a_memory_limit(argv)
     assert proc.returncode == 3, proc.stderr[-2000:]
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_oversized_strand_count_reduces_in_a_fresh_interpreter():
+    # handle reduction allocates by the word's letters, not its strands
+    proc = _run_under_a_memory_limit(("braid", "reduce", "b1000000000000: s1"))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "b1000000000000: s1\n"
+    assert proc.stderr == ""
 
 
 def test_no_arguments_exits_2(capsys):

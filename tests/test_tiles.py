@@ -3,7 +3,7 @@ import random
 import pytest
 
 from braidtiles import artin, tiles
-from braidtiles.graphs import MarkedGraph
+from braidtiles.graphs import HalfEdge, MarkedGraph
 from braidtiles.tiles import (
     D,
     F,
@@ -254,47 +254,30 @@ def test_endomorphism_presentation_of_stacked_intervals():
 
 # -- functoriality of the graph assignment -------------------------------------------
 
-def test_compose_point_maps_frozen():
-    m1, m2 = tiles.compose_point_maps(F, F)
-    assert m1 == {1: 1, 2: 2}
-    assert m2 == {1: 3, 2: 4}
+def _trees_of(forest):
+    """The trees of a left-nested union, left to right."""
+    trees = []
+    while isinstance(forest, tiles.UnionExpr):
+        trees.append(forest.right)
+        forest = forest.left
+    trees.append(forest)
+    return trees[::-1]
 
 
-def test_union_point_maps_frozen():
-    u1, u2 = tiles.union_point_maps(F, P)
-    assert u1 == {1: 1, 2: 2}
-    assert u2 == {1: 3}
+def test_union_graph_is_the_graph_of_every_forest():
+    # the graph of a union is its parts' graphs side by side, shifted
+    for forest in enumerate_tiles(5):
+        parts = [(marked_graph_of(tree), tree.dom, tree.cod) for tree in _trees_of(forest)]
+        assert tiles._union_graph(parts) == marked_graph_of(forest)
 
 
-def _assert_embeds(part, mapping, whole_graph):
-    part_graph = marked_graph_of(part)
-    values = list(mapping.values())
-    assert len(set(values)) == len(values)
-    assert set(mapping) == set(range(1, part_graph.points + 1))
-    for a, b in part_graph.edges:
-        img = tuple(sorted((mapping[a], mapping[b])))
-        assert img in whole_graph.edges
-
-
-def test_point_maps_embed_the_parts():
-    rng = random.Random(23)
-    trees = [expr for level in enumerate_trees(3) for expr in level]
-    comp_hits = union_hits = 0
-    while comp_hits < 25 or union_hits < 25:
-        a, b = rng.choice(trees), rng.choice(trees)
-        if union_hits < 25:
-            union_hits += 1
-            whole = marked_graph_of(disjoint_union(a, b))
-            u1, u2 = tiles.union_point_maps(a, b)
-            _assert_embeds(a, u1, whole)
-            _assert_embeds(b, u2, whole)
-            assert not set(u1.values()) & set(u2.values())
-        if comp_hits < 25 and a.cod == b.dom:
-            comp_hits += 1
-            whole = marked_graph_of(compose(a, b))
-            m1, m2 = tiles.compose_point_maps(a, b)
-            _assert_embeds(a, m1, whole)
-            _assert_embeds(b, m2, whole)
+def test_union_graph_shifts_points_and_both_boundaries():
+    # the second part comes after 3 points, 2 input and 1 output intervals
+    left, right = t("(1_1 + F) ; P"), t("1_1 + F")
+    parts = [(marked_graph_of(x), x.dom, x.cod) for x in (left, right)]
+    halves = ((1, "in", 2), (3, "in", 1), (3, "out", 1), (4, "in", 4), (5, "out", 3))
+    expected = MarkedGraph(5, ((1, 2), (2, 3), (4, 5)), tuple(HalfEdge(*h) for h in halves))
+    assert tiles._union_graph(parts) == expected == marked_graph_of(disjoint_union(left, right))
 
 
 # -- enumeration -----------------------------------------------------------------------
