@@ -203,12 +203,6 @@ class CoxeterSystem:
         m = self.labels[s - 1][t - 1]
         return {1: Fraction(1), 2: Fraction(0), 3: Fraction(-1, 2)}[m]
 
-    def bilinear_matrix(self) -> ExactMatrix:
-        r = self.rank
-        return ExactMatrix.from_rows(
-            [[self.bilinear(a, b) for b in range(1, r + 1)] for a in range(1, r + 1)], cols=r
-        )
-
     def _factor(self, s: int) -> tuple[list[int], list[int]]:
         """(u, d) of the s-th reflection: u = -2B(., a_s) read off the
         integer labels (1, 2, 3 give -2, 0, 1), and d = a_s, the basis

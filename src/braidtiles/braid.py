@@ -9,10 +9,13 @@ The word problem has two routes.  The normative oracle is the action on
 the free group F_n (sigma_i sends x_i to x_i x_{i+1} x_i^-1 and x_{i+1}
 to x_i); a word is trivial iff it acts as the identity.  The fast path is
 handle reduction: repeatedly rewrite the handle with the leftmost closing
-letter until none remains.  A fully reduced word is empty or keeps a
-constant sign on its lowest-index generator, and the latter kind is never
-trivial, so emptiness decides.  ``is_trivial`` cross-checks the two
-routes and raises ``WordProblemMismatch`` if they ever disagree.
+letter until none remains.  The scan for that handle keeps one link per
+position, to the nearest letter left of it with a smaller index, so it
+allocates by letters, never by strands, and passes over each position at
+most once.  A fully reduced word is empty or keeps a constant sign on its
+lowest-index generator, and the latter kind is never trivial, so
+emptiness decides.  ``is_trivial`` cross-checks the two routes and raises
+``WordProblemMismatch`` if they ever disagree.
 
 The action folds letters in from the right, so the oracle images of l w
 are those of w plus one letter step.  ``_suffix_walk`` uses this to give
@@ -214,9 +217,13 @@ def underlying_permutation(word: BraidWord) -> Permutation:
 
 
 def _action_images(word: BraidWord, budget: int | None) -> list[list[int]] | None:
-    """Images of the generators under the word's action, or None once the
-    images under a suffix of the word exceed ``budget`` letters in total."""
-    return _fold_letters([[i] for i in range(1, word.n + 1)], word.letters, budget)
+    """Images of x_1 .. x_{m+1} under the word's action, m its largest index
+    (every later generator is fixed), or None once the images of all n
+    generators under a suffix of the word exceed ``budget`` letters in total."""
+    images = [[i] for i in range(1, max(map(abs, word.letters), default=0) + 2)]
+    if budget is not None:
+        budget -= word.n - len(images)  # the fixed generators' letters count too
+    return _fold_letters(images, word.letters, budget)
 
 
 def _fold_letters(images: list[list[int]], letters: Sequence[int], budget: int | None) -> list[list[int]] | None:
@@ -274,21 +281,34 @@ def artin_action(word: BraidWord) -> FreeGroupEndo:
     """
     images = _action_images(word, None)
     assert images is not None
-    return FreeGroupEndo(word.n, tuple(tuple(w) for w in images))
+    fixed = ((i,) for i in range(len(images) + 1, word.n + 1))
+    return FreeGroupEndo(word.n, (*map(tuple, images), *fixed))
 
 
-def _first_handle(word: Sequence[int], size: int) -> tuple[int, int] | None:
-    """Leftmost-closing handle (s, t): word[s..t] = s_i^e ... s_i^-e with
+def _first_handle(word: Sequence[int]) -> tuple[int, int] | None:
+    """Leftmost-closing handle (p, t): word[p..t] = s_i^e ... s_i^-e with
     every interior letter of index > i.  Such a handle contains no nested
-    handle, so rewriting it is always permitted.  ``size`` exceeds every
-    letter index of the word."""
-    last = [-1] * size  # last[i]: most recent position of a letter of index i
+    handle, so rewriting it is always permitted.
+
+    One link per scanned position: ``below[q]`` is the nearest position
+    left of q whose letter has a smaller index, or -1.  Following links
+    from t - 1 past indices > i reaches the nearest letter of index <= i;
+    (p, t) is a handle exactly when that letter has index i and the
+    opposite sign.  A letter of index i and the same sign is linked past,
+    so the chain from t holds strictly falling indices and every position
+    is passed over at most once per scan."""
+    below: list[int] = []
     for t, l in enumerate(word):
         i = abs(l)
-        p = last[i]
-        if p >= 0 and word[p] == -l and all(last[j] <= p for j in range(1, i)):
-            return p, t
-        last[i] = t
+        q = t - 1
+        while q >= 0 and abs(word[q]) > i:
+            q = below[q]
+        if q >= 0:
+            if word[q] == -l:
+                return q, t
+            if word[q] == l:
+                q = below[q]
+        below.append(q)
     return None
 
 
@@ -307,13 +327,11 @@ def _reduce_handle(word: list[int], s: int, t: int) -> list[int]:
 
 def _handle_reduce_letters(letters: Sequence[int]) -> list[int]:
     """Letters of the fully handle-reduced word: rewrite the leftmost-closing
-    handle until none remains.  A rewrite adds no letter of a new index, so
-    the handle table is sized once, by the freely reduced input."""
+    handle until none remains."""
     letters = _free_reduce(letters)
-    size = max(map(abs, letters), default=0) + 1
     steps = 0
     while True:
-        h = _first_handle(letters, size)
+        h = _first_handle(letters)
         if h is None:
             return letters
         letters = _free_reduce(_reduce_handle(letters, *h))

@@ -10,7 +10,7 @@ Exit codes: 0 for answered queries and passing verification, 1 for a
 failing verification suite, 2 for usage, parse or input errors, 3 for an
 internal failure (the word-problem routes disagree, handle reduction
 exceeds its step budget, or an input is too large for memory, such as
-``b1000000000000: e``).  Errors print ``error: ...`` on stderr.
+``tile tree '1_1000000000000'``).  Errors print ``error: ...`` on stderr.
 """
 
 from __future__ import annotations

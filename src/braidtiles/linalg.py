@@ -114,10 +114,6 @@ class ExactMatrix:
         return ExactMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @staticmethod
-    def zeros(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
-    @staticmethod
     def block_diagonal(blocks: Iterable["ExactMatrix"]) -> "ExactMatrix":
         blocks = list(blocks)
         rows = sum(b.rows for b in blocks)
@@ -142,21 +138,6 @@ class ExactMatrix:
             out.append(tuple(sum(a * b for a, b in zip(row, col)) for col in ocols))
         return ExactMatrix(self.rows, other.cols, tuple(out))
 
-    def __pow__(self, exponent: int) -> "ExactMatrix":
-        if self.rows != self.cols:
-            raise ValueError("only square matrices can be raised to a power")
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = ExactMatrix.identity(self.rows)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def transpose(self) -> "ExactMatrix":
         if not self.entries:
             return ExactMatrix(self.cols, self.rows, tuple(() for _ in range(self.cols)))
@@ -171,34 +152,8 @@ class ExactMatrix:
             self.entries[i][j] == (1 if i == j else 0) for i in range(self.rows) for j in range(self.cols)
         )
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.entries for x in r)
-
     def is_integer(self) -> bool:
         return all(isinstance(x, int) for r in self.entries for x in r)
-
-    def det(self) -> Scalar:
-        """Determinant by exact fraction-based elimination."""
-        if not self.is_square:
-            raise ValueError("determinant requires a square matrix")
-        n = self.rows
-        a = [[Fraction(x) for x in row] for row in self.entries]
-        sign = 1
-        result = Fraction(1)
-        for k in range(n):
-            pivot = next((i for i in range(k, n) if a[i][k]), None)
-            if pivot is None:
-                return 0
-            if pivot != k:
-                a[k], a[pivot] = a[pivot], a[k]
-                sign = -sign
-            result *= a[k][k]
-            inv = 1 / a[k][k]
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    factor = a[i][k] * inv
-                    a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
-        return _norm(sign * result)
 
     def inverse(self) -> "ExactMatrix":
         """Exact inverse by Gauss-Jordan; raises ValueError when singular."""

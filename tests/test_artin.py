@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -276,22 +275,20 @@ def test_coxeter_validation():
         CoxeterSystem(((1, 7), (7, 1)))  # only labels 2 and 3 are supported
 
 
-def test_bilinear_matrix_frozen():
-    cox = CoxeterSystem.from_graph(WITNESS_GRAPH)
-    b = cox.bilinear_matrix()
-    assert b.entries[0][0] == 1
-    assert b.entries[0][1] == Fraction(-1, 2)
-    assert b.entries[0][2] == 0
-    assert b == b.transpose()
-
-
 def test_reflections_are_integer_involutions():
     cox = CoxeterSystem.from_graph(WITNESS_GRAPH)
     for s in range(1, cox.rank + 1):
         r = cox.reflection(s)
         assert r.is_integer()
         assert (r * r).is_identity()
-        assert r.det() == -1
+        assert _int_det(r.entries) == -1
+
+
+def _power(m, k):
+    out = ExactMatrix.identity(m.rows)
+    for _ in range(k):
+        out = out * m
+    return out
 
 
 def test_reflection_orders():
@@ -300,8 +297,8 @@ def test_reflection_orders():
     for i, j in itertools.combinations(range(4), 2):
         prod = refs[i] * refs[j]
         order = cox.labels[i][j]
-        assert (prod ** order).is_identity()
-        assert not (prod ** (order - 1)).is_identity()
+        assert _power(prod, order).is_identity()
+        assert not _power(prod, order - 1).is_identity()
 
 
 def test_image_is_multiplicative():
@@ -316,10 +313,9 @@ def test_image_is_multiplicative():
 def test_reflection_matches_bilinear_form():
     # the identity with column s replaced by e_s - 2 B(., a_s)
     cox = CoxeterSystem.from_graph(WITNESS_GRAPH)
-    b = cox.bilinear_matrix()
     for s in range(1, cox.rank + 1):
         expected = [
-            [(1 if a == c else 0) - (2 * b.entries[a][s - 1] if c == s - 1 else 0) for c in range(cox.rank)]
+            [(1 if a == c else 0) - (2 * cox.bilinear(a + 1, s) if c == s - 1 else 0) for c in range(cox.rank)]
             for a in range(cox.rank)
         ]
         assert cox.reflection(s).entries == tuple(map(tuple, expected))

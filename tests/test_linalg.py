@@ -33,6 +33,10 @@ def _int_det(rows):
     return total
 
 
+def _zeros(rows, cols):
+    return ExactMatrix.from_rows([[0] * cols for _ in range(rows)], cols=cols)
+
+
 def _determinantal_divisors(rows):
     """gcd of all k-by-k minors, for k = 1..min shape."""
     r, c = len(rows), len(rows[0]) if rows else 0
@@ -72,8 +76,7 @@ def test_ragged_rows_rejected():
 
 def test_identity_and_zeros():
     assert ExactMatrix.identity(3).is_identity()
-    assert ExactMatrix.zeros(2, 3).is_zero()
-    assert not ExactMatrix.zeros(2, 2).is_identity()
+    assert not _zeros(2, 2).is_identity()
 
 
 def test_product_and_shape_errors():
@@ -81,39 +84,21 @@ def test_product_and_shape_errors():
     b = ExactMatrix.from_rows([[0, 1], [1, 0]])
     assert (a * b).entries == ((2, 1), (4, 3))
     with pytest.raises(ValueError):
-        a * ExactMatrix.zeros(3, 2)
+        a * _zeros(3, 2)
 
 
-def test_pow_and_inverse():
+def test_inverse():
     a = ExactMatrix.from_rows([[1, 1], [0, 1]])
-    assert (a ** 5).entries == ((1, 5), (0, 1))
-    assert (a ** -2).entries == ((1, -2), (0, 1))
-    assert (a ** 0).is_identity()
+    assert a.inverse().entries == ((1, -1), (0, 1))
     assert (a.inverse() * a).is_identity()
     with pytest.raises(ValueError):
-        ExactMatrix.zeros(2, 2).inverse()
+        _zeros(2, 2).inverse()
 
 
 def test_inverse_has_exact_fractions():
     a = ExactMatrix.from_rows([[2, 0], [0, 3]])
     inv = a.inverse()
     assert inv.entries == ((Fraction(1, 2), 0), (0, Fraction(1, 3)))
-
-
-def test_det_frozen_values():
-    assert ExactMatrix.from_rows([[1, 2], [3, 4]]).det() == -2
-    assert ExactMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]).det() == 624
-    assert ExactMatrix.identity(0).det() == 1
-    with pytest.raises(ValueError):
-        ExactMatrix.zeros(2, 3).det()
-
-
-def test_det_matches_expansion_oracle():
-    rng = random.Random(11)
-    for _ in range(25):
-        n = rng.randint(1, 4)
-        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        assert ExactMatrix.from_rows(rows).det() == _int_det(rows)
 
 
 def test_block_diagonal():
@@ -125,8 +110,8 @@ def test_block_diagonal():
 
 
 def test_degenerate_shapes():
-    e = ExactMatrix.zeros(0, 3)
-    assert (e * ExactMatrix.zeros(3, 2)).cols == 2
+    e = _zeros(0, 3)
+    assert (e * _zeros(3, 2)).cols == 2
     assert e.transpose().rows == 3 and e.transpose().cols == 0
     assert ExactMatrix.identity(0).is_identity()
 
@@ -188,7 +173,7 @@ def test_smith_random_properties():
         m = ExactMatrix.from_rows(rows, cols=c)
         d, u, v = smith_normal_form(m)
         assert u * m * v == d
-        assert abs(u.det()) == 1 and abs(v.det()) == 1
+        assert abs(_int_det(u.entries)) == 1 and abs(_int_det(v.entries)) == 1
         diag = [d.entries[i][i] for i in range(min(r, c))]
         assert all(
             d.entries[i][j] == 0 for i in range(r) for j in range(c) if i != j
@@ -217,7 +202,7 @@ def test_invariant_factors_ignore_zero_and_repeated_rows():
 
 def test_invariant_factors_frozen():
     assert invariant_factors(ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == (1, 3)
-    assert invariant_factors(ExactMatrix.zeros(2, 2)) == ()
+    assert invariant_factors(_zeros(2, 2)) == ()
 
 
 # -- rank-one products --------------------------------------------------------------
@@ -282,4 +267,4 @@ def test_is_symplectic():
     assert is_symplectic(ExactMatrix.from_rows([[1, 1], [0, 1]]), f)
     assert not is_symplectic(ExactMatrix.from_rows([[2, 0], [0, 1]]), f)
     with pytest.raises(ValueError):
-        is_symplectic(ExactMatrix.zeros(3, 3), f)
+        is_symplectic(_zeros(3, 3), f)
