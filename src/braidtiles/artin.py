@@ -20,7 +20,6 @@ import enum
 import itertools
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .graphs import MarkedGraph, edge_neighbors
@@ -197,25 +196,16 @@ class CoxeterSystem:
     def rank(self) -> int:
         return len(self.labels)
 
-    def bilinear(self, s: int, t: int) -> Fraction:
-        """Form value B(alpha_s, alpha_t) = -cos(pi / label); exact because
-        only labels 1, 2, 3 occur (values 1, 0, -1/2)."""
-        m = self.labels[s - 1][t - 1]
-        return {1: Fraction(1), 2: Fraction(0), 3: Fraction(-1, 2)}[m]
-
     def _factor(self, s: int) -> tuple[list[int], list[int]]:
-        """(u, d) of the s-th reflection: u = -2B(., a_s) read off the
-        integer labels (1, 2, 3 give -2, 0, 1), and d = a_s, the basis
-        vector at the column's only label 1."""
+        """(u, d) of the s-th simple reflection x -> x - 2B(x, a_s) a_s on
+        row vectors, whose matrix I + u^T d is the identity with column s
+        replaced.  B(a_t, a_s) = -cos(pi / label) is 1, 0, -1/2 for labels
+        1, 2, 3, so u = -2B(., a_s) reads -2, 0, 1 off the integer labels,
+        and d = a_s is the basis vector at the column's only label 1."""
         if not (1 <= s <= self.rank):
             raise PresentationError(f"generator {s} outside 1..{self.rank}")
         column = [row[s - 1] for row in self.labels]
         return [{1: -2, 2: 0, 3: 1}[m] for m in column], [int(m == 1) for m in column]
-
-    def reflection(self, s: int) -> ExactMatrix:
-        """Matrix of the s-th simple reflection x -> x - 2B(x, a_s) a_s on
-        row vectors: the identity with column s replaced."""
-        return rank_one_product(self.rank, self._factor, (s,))
 
     def image(self, word: Iterable[int]) -> ExactMatrix:
         """Image of a word in the reflection representation; a generator and

@@ -64,10 +64,6 @@ class Permutation:
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
 
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
     @property
     def n(self) -> int:
         return len(self.images)
@@ -80,39 +76,6 @@ class Permutation:
         if self.n != other.n:
             raise ValueError("permutation size mismatch")
         return Permutation(tuple(other.images[x - 1] for x in self.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, x in enumerate(self.images, start=1):
-            inv[x - 1] = i
-        return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(x == i for i, x in enumerate(self.images, start=1))
-
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Nontrivial cycles, each rotated to start at its minimum."""
-        seen: set[int] = set()
-        out = []
-        for start in range(1, self.n + 1):
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            x = self(start)
-            while x != start:
-                cycle.append(x)
-                seen.add(x)
-                x = self(x)
-            if len(cycle) > 1:
-                out.append(tuple(cycle))
-        return tuple(out)
-
-    def __str__(self) -> str:
-        cycles = self.cycles()
-        if not cycles:
-            return "()"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
 
 
 @dataclass(frozen=True)
@@ -197,11 +160,6 @@ def _free_reduce(letters: Iterable[int], out: list[int] | None = None) -> list[i
         else:
             out.append(l)
     return out
-
-
-def free_reduce(word: BraidWord) -> BraidWord:
-    """Cancel adjacent inverse pairs until none remain."""
-    return BraidWord(word.n, tuple(_free_reduce(word.letters)))
 
 
 def underlying_permutation(word: BraidWord) -> Permutation:
@@ -348,24 +306,20 @@ def handle_reduce(word: BraidWord) -> BraidWord:
 def is_trivial(word: BraidWord, *, oracle: bool | None = None) -> bool:
     """Decide whether the word represents the identity braid.
 
-    The fast path is handle reduction.  With ``oracle=True`` the free-group
-    action is computed as well and a disagreement raises
-    WordProblemMismatch.  The default runs the cross-check for words of at
-    most ORACLE_AUTO_LIMIT letters, abandoning it (fast path only) if the
-    action's images outgrow an internal budget.
+    The fast path is handle reduction.  The cross-check folds the word's
+    letters into the images of the generators it moves (``_action_images``)
+    and raises WordProblemMismatch if the action's verdict disagrees.  With
+    ``oracle=True`` it always runs: it folds only the strands the word
+    touches and never gives up.  The default runs it for words of at most
+    ORACLE_AUTO_LIMIT letters, abandoning it (fast path only) if the images
+    outgrow an internal budget.  ``oracle=False`` skips it.
     """
     fast = len(handle_reduce(word)) == 0
-    if oracle is None:
-        if len(word.letters) <= ORACLE_AUTO_LIMIT:
-            images = _action_images(word, _ORACLE_SIZE_BUDGET)
-            if images is None:
-                return fast
-            slow = all(w == [i] for i, w in enumerate(images, start=1))
-            _require_agreement(fast, slow, word)
+    if not (oracle or (oracle is None and len(word.letters) <= ORACLE_AUTO_LIMIT)):
         return fast
-    if oracle:
-        slow = artin_action(word).is_identity()
-        _require_agreement(fast, slow, word)
+    images = _action_images(word, None if oracle else _ORACLE_SIZE_BUDGET)
+    if images is not None:
+        _require_agreement(fast, all(w == [i] for i, w in enumerate(images, start=1)), word)
     return fast
 
 

@@ -10,7 +10,7 @@ edge.  Only full edges count for degrees and for the Artin presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .linalg import json_field, json_int
 
@@ -79,21 +79,12 @@ class MarkedGraph:
         """Path graph on k vertices: edges (1,2), (2,3), ..."""
         return MarkedGraph(k, tuple((i, i + 1) for i in range(1, k)))
 
-    def degree(self, v: int) -> int:
-        """Number of full edges at v; half-edges do not count."""
-        if not (1 <= v <= self.points):
-            raise ValueError(f"point {v} out of range 1..{self.points}")
-        return sum(1 for a, b in self.edges if v in (a, b))
-
     def max_degree(self) -> int:
         deg = [0] * (self.points + 1)
         for a, b in self.edges:
             deg[a] += 1
             deg[b] += 1
         return max(deg) if deg else 0
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(b if a == v else a for a, b in self.edges if v in (a, b)))
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components under full edges, each a sorted vertex tuple,
@@ -118,19 +109,6 @@ class MarkedGraph:
     def is_forest(self) -> bool:
         comps = self.components()
         return len(self.edges) == self.points - len(comps)
-
-    def relabel(self, mapping: Mapping[int, int], points: int) -> "MarkedGraph":
-        """Image of this graph under an injective vertex relabeling into
-        1..points.  Half-edges are dropped: anchors are not meaningful in
-        the new ambient diagram."""
-        values = [mapping[v] for v in range(1, self.points + 1)]
-        if len(set(values)) != len(values):
-            raise ValueError("relabeling is not injective")
-        edges = tuple((min(mapping[a], mapping[b]), max(mapping[a], mapping[b])) for a, b in self.edges)
-        return MarkedGraph(points, edges)
-
-    def without_half_edges(self) -> "MarkedGraph":
-        return MarkedGraph(self.points, self.edges)
 
     def to_json_obj(self) -> dict:
         return {

@@ -171,11 +171,6 @@ class EdgeTransvectionRep:
             raise ValueError(f"edge index {index} outside 1..{e}")
         return [row[index - 1] for row in self.pairing.entries], [int(b == index - 1) for b in range(e)]
 
-    def transvection(self, index: int) -> ExactMatrix:
-        """Transvection along the basis vector of edge ``index`` (1-based):
-        the identity with column ``index`` shifted by the pairing column."""
-        return rank_one_product(len(self.edges), self._factor, (index,))
-
     def image(self, word: Iterable[int]) -> ExactMatrix:
         return rank_one_product(len(self.edges), self._factor, word)
 

@@ -9,12 +9,10 @@ from braidtiles.braid import (
     BraidParseError,
     BraidWord,
     FreeGroupEndo,
-    Permutation,
     artin_action,
     cable,
     equal,
     format_braid_word,
-    free_reduce,
     handle_reduce,
     is_trivial,
     mirror,
@@ -129,13 +127,14 @@ def test_permutation_composition_order():
     # letters act left to right: 1 goes to 2 under s1, then to 3 under s2
     p = underlying_permutation(w("b3: s1 s2"))
     assert p.images == (3, 1, 2)
-    assert p.cycles() == ((1, 3, 2),)
 
 
-def test_permutation_inverse_and_identity():
-    p = underlying_permutation(w("b4: s1 s3 s2"))
-    assert (p * p.inverse()).is_identity()
-    assert str(Permutation.identity(3)) == "()"
+def test_permutation_of_a_product_is_the_product_of_permutations():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        a, b = rand_word(rng, n, rng.randint(0, 8)), rand_word(rng, n, rng.randint(0, 8))
+        assert underlying_permutation(a * b) == underlying_permutation(a) * underlying_permutation(b)
 
 
 def test_sign_does_not_change_permutation():
@@ -257,8 +256,8 @@ def test_suffix_walk_leaves_parent_images_alone():
 
 
 def test_free_reduce():
-    assert free_reduce(BraidWord(3, (1, -1, 2))).letters == (2,)
-    assert free_reduce(BraidWord(3, (1, 2, -2, -1))).letters == ()
+    assert braid._free_reduce((1, -1, 2)) == [2]
+    assert braid._free_reduce((1, 2, -2, -1)) == []
 
 
 # -- word problem ----------------------------------------------------------------
@@ -389,6 +388,29 @@ def test_oracle_flag_off_still_answers():
     assert is_trivial(word, oracle=False) is False
 
 
+def test_explicit_oracle_cross_checks_long_words(monkeypatch):
+    # a broken action that moves every generator must be caught by
+    # oracle=True past ORACLE_AUTO_LIMIT, and never consulted otherwise
+    calls = []
+
+    def every_generator_moved(word, budget):
+        calls.append(budget)
+        return [[-i] for i in range(1, word.n + 1)]
+
+    monkeypatch.setattr(braid, "_action_images", every_generator_moved)
+    half = rand_word(random.Random(12), 5, 50)
+    word = half * half.inverse()
+    assert len(word) == 100 > braid.ORACLE_AUTO_LIMIT
+    with pytest.raises(braid.WordProblemMismatch):
+        is_trivial(word, oracle=True)
+    with pytest.raises(braid.WordProblemMismatch):
+        equal(half, half, oracle=True)
+    assert calls == [None, None]
+    assert is_trivial(word) and is_trivial(word, oracle=False)
+    assert equal(half, half) and equal(half, half, oracle=False)
+    assert calls == [None, None]
+
+
 def test_pseudo_anosov_power_fast():
     # the action images grow exponentially here; the auto path must not stall
     word = (w("b3: s1 s2^-1")) ** 16
@@ -428,7 +450,7 @@ def test_cable_frozen_example():
     eps = BraidWord(2, ())
     out = cable(2, 2, w("b2: s1"), (eps, eps))
     assert format_braid_word(out) == "b4: s2 s1 s3 s2"
-    assert underlying_permutation(out).cycles() == ((1, 3), (2, 4))
+    assert underlying_permutation(out).images == (3, 4, 1, 2)
 
 
 def test_cable_inserts_inner_words_first():

@@ -360,9 +360,10 @@ def test_verify_random_bad_arguments_exit_2(capsys, flags, message):
     assert err.startswith("error:") and message in err
 
 
-def _run_under_a_memory_limit(argv):
+def _run_under_a_memory_limit(*args):
     # Run only under an address-space limit: these inputs ask for about a
     # trillion list slots, and some paths would take them one at a time.
+    # ``args`` go to a fresh Python interpreter.
     resource = pytest.importorskip("resource")
 
     def limit_memory():
@@ -371,14 +372,14 @@ def _run_under_a_memory_limit(argv):
     src = str(Path(braidtiles.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, "-m", "braidtiles.cli", *argv],
+        [sys.executable, *args],
         capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_memory,
     )
 
 
 @pytest.mark.parametrize("argv", [("tile", "tree", "1_1000000000000")], ids=["tile-tree"])
 def test_oversized_input_exits_3_in_a_fresh_interpreter(argv):
-    proc = _run_under_a_memory_limit(argv)
+    proc = _run_under_a_memory_limit("-m", "braidtiles.cli", *argv)
     assert proc.returncode == 3, proc.stderr[-2000:]
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
@@ -386,7 +387,7 @@ def test_oversized_input_exits_3_in_a_fresh_interpreter(argv):
 
 def test_oversized_strand_count_reduces_in_a_fresh_interpreter():
     # handle reduction allocates by the word's letters, not its strands
-    proc = _run_under_a_memory_limit(("braid", "reduce", "b1000000000000: s1"))
+    proc = _run_under_a_memory_limit("-m", "braidtiles.cli", "braid", "reduce", "b1000000000000: s1")
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout == "b1000000000000: s1\n"
     assert proc.stderr == ""
@@ -394,9 +395,21 @@ def test_oversized_strand_count_reduces_in_a_fresh_interpreter():
 
 def test_oversized_strand_count_empty_word_is_trivial_in_a_fresh_interpreter():
     # the oracle folds only the strands up to the word's largest index + 1
-    proc = _run_under_a_memory_limit(("braid", "trivial", "b1000000000000: e"))
+    proc = _run_under_a_memory_limit("-m", "braidtiles.cli", "braid", "trivial", "b1000000000000: e")
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout == "true\n"
+    assert proc.stderr == ""
+
+
+def test_oversized_strand_count_explicit_oracle_in_a_fresh_interpreter():
+    # oracle=True folds the same strands as the default policy, and never gives up
+    proc = _run_under_a_memory_limit("-c", (
+        "from braidtiles.braid import BraidWord, equal, is_trivial\n"
+        "print(is_trivial(BraidWord(10**12, ()), oracle=True))\n"
+        "print(equal(BraidWord(10**12, (1,)), BraidWord(10**12, (1,)), oracle=True))\n"
+    ))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "True\nTrue\n"
     assert proc.stderr == ""
 
 

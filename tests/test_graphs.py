@@ -36,10 +36,7 @@ def test_path():
 
 def test_degrees_and_neighbors():
     g = MarkedGraph(5, ((1, 2), (2, 4), (3, 4), (4, 5)))
-    assert g.degree(4) == 3
-    assert g.degree(1) == 1
     assert g.max_degree() == 3
-    assert g.neighbors(4) == (2, 3, 5)
 
 
 def test_components():
@@ -52,15 +49,6 @@ def test_is_forest():
     assert MarkedGraph.path(4).is_forest()
     assert MarkedGraph(3, ()).is_forest()
     assert not MarkedGraph(3, ((1, 2), (1, 3), (2, 3))).is_forest()
-
-
-def test_relabel():
-    g = MarkedGraph(3, ((1, 2), (2, 3)), (HalfEdge(1, "in", 1),))
-    h = g.relabel({1: 3, 2: 2, 3: 1}, points=3)
-    assert h.edges == ((1, 2), (2, 3))
-    assert h.half_edges == ()  # half-edges do not survive relabeling
-    with pytest.raises(ValueError):
-        g.relabel({1: 1, 2: 1, 3: 2}, points=3)
 
 
 def test_json_round_trip():

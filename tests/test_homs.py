@@ -165,7 +165,7 @@ def test_band_generator_validation():
 
 def test_band_generators_are_conjugate_transpositions():
     p = braid.underlying_permutation(band_generator(6, 2, 5))
-    assert p.cycles() == ((2, 5),)
+    assert p.images == (1, 5, 3, 4, 2, 6)
 
 
 def test_half_twist_images_on_witness_graph():
@@ -205,7 +205,7 @@ def test_half_twist_letter_validation():
 def test_edge_rep_default_pairing():
     rep = EdgeTransvectionRep.from_graph(MarkedGraph.path(3))
     assert rep.pairing.entries == ((0, 1), (-1, 0))
-    assert rep.transvection(1).entries == ((1, 0), (-1, 1))
+    assert rep.image((1,)).entries == ((1, 0), (-1, 1))
 
 
 def test_edge_rep_braid_relation_all_signs():
@@ -213,13 +213,13 @@ def test_edge_rep_braid_relation_all_signs():
     graph = MarkedGraph.path(3)
     for s in (1, -1):
         rep = EdgeTransvectionRep.from_graph(graph, {(0, 1): s})
-        t1, t2 = rep.transvection(1), rep.transvection(2)
+        t1, t2 = rep.image((1,)), rep.image((2,))
         assert t1 * t2 * t1 == t2 * t1 * t2
 
 
 def test_edge_rep_commutation():
     rep = EdgeTransvectionRep.from_graph(MarkedGraph(4, ((1, 2), (3, 4))))
-    t1, t2 = rep.transvection(1), rep.transvection(2)
+    t1, t2 = rep.image((1,)), rep.image((2,))
     assert t1 * t2 == t2 * t1
 
 
@@ -231,6 +231,10 @@ def test_edge_rep_validation():
         EdgeTransvectionRep(((1, 2), (2, 3)), ExactMatrix.identity(2))
     with pytest.raises(ValueError):
         EdgeTransvectionRep(((1, 2), (2, 3)), ExactMatrix.from_rows([[0, 0], [0, 0]]))
+
+
+def _full_edges(graph):
+    return MarkedGraph(graph.points, graph.edges)
 
 
 def _adjacent_pairs(graph):
@@ -247,7 +251,7 @@ def test_edge_rep_well_defined_under_every_sign_assignment():
     # exhaustive over the sign choices for every distinct small tree shape
     seen = set()
     for expr in tiles.enumerate_tiles(3):
-        graph = tiles.marked_graph_of(expr).without_half_edges()
+        graph = _full_edges(tiles.marked_graph_of(expr))
         key = (graph.points, graph.edges)
         if key in seen or not graph.edges:
             continue
@@ -258,7 +262,7 @@ def test_edge_rep_well_defined_under_every_sign_assignment():
             rep = EdgeTransvectionRep.from_graph(graph, dict(zip(pairs, values)))
             report = check_relations(
                 pres,
-                [rep.transvection(i) for i in range(1, len(graph.edges) + 1)],
+                [rep.image((i,)) for i in range(1, len(graph.edges) + 1)],
                 multiply=lambda a, b: a * b,
                 is_identity=lambda m: m.is_identity(),
                 invert=lambda m: m.inverse(),
@@ -270,7 +274,7 @@ def test_edge_rep_random_signs_on_larger_tiles():
     rng = random.Random(12)
     pool = [expr for level in tiles.enumerate_trees(5) for expr in level[-30:]]
     for expr in rng.sample(pool, 12):
-        graph = tiles.marked_graph_of(expr).without_half_edges()
+        graph = _full_edges(tiles.marked_graph_of(expr))
         pres = artin.presentation_from_graph(graph)
         pairs = _adjacent_pairs(graph)
         signs = {p: rng.choice([1, -1]) for p in pairs}
@@ -321,15 +325,23 @@ def test_symplectic_fold_matches_dense_product():
             assert braid_to_symplectic(g, word) == _dense_image(factors, word.letters)
 
 
+def _edge_transvection(rep, i):
+    """The identity with column i shifted by the pairing column of edge i."""
+    e = len(rep.edges)
+    return ExactMatrix.from_rows([
+        [int(a == c) + (rep.pairing.entries[a][i - 1] if c == i - 1 else 0) for c in range(e)] for a in range(e)
+    ])
+
+
 def test_edge_fold_matches_dense_product():
     rng = random.Random(32)
     pool = [expr for level in tiles.enumerate_trees(5) for expr in level[-30:]]
     for expr in rng.sample(pool, 10):
-        graph = tiles.marked_graph_of(expr).without_half_edges()
+        graph = _full_edges(tiles.marked_graph_of(expr))
         signs = {p: rng.choice([1, -1]) for p in _adjacent_pairs(graph)}
         rep = EdgeTransvectionRep.from_graph(graph, signs)
         e = len(graph.edges)
-        factors = {i: rep.transvection(i) for i in range(1, e + 1)}
+        factors = {i: _edge_transvection(rep, i) for i in range(1, e + 1)}
         for _ in range(4):
             word = tuple(rng.choice([1, -1]) * rng.randint(1, e) for _ in range(rng.randint(0, 24)))
             assert rep.image(word) == _dense_image(factors, word)

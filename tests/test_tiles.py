@@ -212,7 +212,7 @@ def test_graph_of_atoms():
 
 def test_graph_of_stacked_intervals_is_a_path():
     g = marked_graph_of(t("F ; F ; F"))
-    assert g.without_half_edges() == MarkedGraph.path(6)
+    assert MarkedGraph(g.points, g.edges) == MarkedGraph.path(6)
     assert [str(h) for h in g.half_edges] == ["in1->1", "out1->6"]
 
 
