@@ -18,11 +18,16 @@ emptiness decides.  ``is_trivial`` cross-checks the two routes and raises
 ``WordProblemMismatch`` if they ever disagree.
 
 The action folds letters in from the right, so the oracle images of l w
-are those of w plus one letter step.  ``_suffix_walk`` uses this to give
-every word up to a length its images at one step per word.  The exhaustive
-agreement gate in ``verify`` walks it and still runs handle reduction on
-each word on its own, on the bare letter tuple: ``_handle_reduce_letters``
-is the kernel that ``handle_reduce`` wraps in a ``BraidWord``.
+are those of w plus one letter step, and so is the free reduction of l w:
+it drops the first letter of w's reduction when that letter is l^-1 and
+prepends l otherwise.  ``_suffix_walk`` uses both to give every word up to
+a length its images and its free reduction at one step per word, each
+carried apart from the other.  Handle reduction free-reduces its input
+before anything else, so its verdict on a word is its verdict on the
+word's free reduction; the exhaustive agreement gate in ``verify``
+therefore runs the kernel ``_handle_reduce_letters`` (which
+``handle_reduce`` wraps in a ``BraidWord``) once per distinct free
+reduction and checks every word's own images against that verdict.
 """
 
 from __future__ import annotations
@@ -203,32 +208,41 @@ def _fold_letters(images: list[list[int]], letters: Sequence[int], budget: int |
             images[i - 1], images[i] = _free_reduce(_inverse(a), _free_reduce(b, a[:])), a
         else:
             images[i - 1], images[i] = b, _free_reduce(b, _free_reduce(a, _inverse(b)))
-        total += len(images[i - 1]) + len(images[i]) - len(a) - len(b)
-        if budget is not None and total > budget:
-            return None
+        if budget is not None:
+            total += len(images[i - 1]) + len(images[i]) - len(a) - len(b)
+            if total > budget:
+                return None
     return images
 
 
-def _suffix_walk(n: int, depth: int) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
-    """Every n-strand word of length at most ``depth`` with its action
-    images, as ``(letters, images)``; each word is yielded once.
+def _suffix_walk(
+    n: int, depth: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], list[list[int]]]]:
+    """Every n-strand word of length at most ``depth`` with its free
+    reduction and its action images, as ``(letters, reduced, images)``;
+    each word is yielded once.
 
     The walk is depth first over the suffix tree: the children of w are
-    the words l w, and a child's images are its parent's images folded
-    with the one letter l, so each word costs one letter step rather than
-    one per letter.  The stack holds at most 1 + depth * (2(n-1) - 1)
-    entries.  The yielded image lists are shared with other words: read
-    them, never mutate them."""
+    the words l w, so each word costs one letter step rather than one per
+    letter.  A child's images are its parent's images folded with the one
+    letter l, and its free reduction is its parent's with l pushed on the
+    front: ``reduced[1:]`` if ``reduced`` starts with -l, else
+    ``(l,) + reduced``.  Neither is computed from the other, so a route
+    that reads one stays independent of a route that reads the other.
+    The stack holds at most 1 + depth * (2(n-1) - 1) entries.  The yielded
+    image lists are shared with other words: read them, never mutate
+    them."""
     alphabet = [s * i for i in range(1, n) for s in (1, -1)]
-    stack = [((), [[i] for i in range(1, n + 1)])]
+    stack = [((), (), [[i] for i in range(1, n + 1)])]
     while stack:
-        letters, images = stack.pop()
-        yield letters, images
+        letters, reduced, images = stack.pop()
+        yield letters, reduced, images
         if len(letters) < depth:
             for l in alphabet:
+                child = reduced[1:] if reduced and reduced[0] == -l else (l,) + reduced
                 # A copy of the slots only: the image lists stay shared with
                 # the parent, safe because _fold_letters never mutates them.
-                stack.append(((l,) + letters, _fold_letters(images[:], (l,), None)))
+                stack.append(((l,) + letters, child, _fold_letters(images[:], (l,), None)))
 
 
 def artin_action(word: BraidWord) -> FreeGroupEndo:

@@ -49,17 +49,29 @@ def _check_word_problem(seed: int) -> Outcome:
     """Both routes on every 3-strand word of length <= 8 and on 1000 random
     5-strand words; a disagreement raises WordProblemMismatch.
 
-    The exhaustive words share their oracle work: they are walked as a
-    suffix tree, so each word's free-group images are its parent's images
-    folded with one more letter.  Handle reduction still runs on each word
-    from scratch, so the two routes stay independent; it reduces the
-    walked letter tuple directly, and a ``BraidWord`` is built only to name
-    a word on which the routes disagree."""
+    The exhaustive words are walked as a suffix tree, which carries each
+    word's free-group images and, apart from them, its free reduction,
+    each one letter step from its parent's.  Handle reduction free-reduces
+    its input first, so its verdict on a word is its verdict on the
+    word's free reduction: the kernel runs once per distinct free
+    reduction (13,121 at depth 8), and every word's oracle verdict is
+    still read off its own images.  Only reductions of at most depth - 2
+    letters are remembered: a word that is not freely reduced loses at
+    least two letters, so a longer reduction is a freely reduced word,
+    which the walk meets exactly once.  A ``BraidWord`` is built only to
+    name a word on which the routes disagree."""
     rng = random.Random(seed)
+    depth = 8
     identity = [[1], [2], [3]]
+    verdicts: dict[tuple[int, ...], bool] = {}  # free reduction -> handle-reduction verdict
     checked = 0
-    for letters, images in braid._suffix_walk(3, 8):
-        fast, slow = not braid._handle_reduce_letters(letters), images == identity
+    for letters, reduced, images in braid._suffix_walk(3, depth):
+        fast = verdicts.get(reduced)
+        if fast is None:
+            fast = not braid._handle_reduce_letters(reduced)
+            if len(reduced) <= depth - 2:
+                verdicts[reduced] = fast
+        slow = images == identity
         if fast != slow:
             braid._require_agreement(fast, slow, braid.BraidWord(3, letters))
         checked += 1

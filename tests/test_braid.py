@@ -230,22 +230,25 @@ def test_action_budget_counts_every_strand():
 
 
 def test_suffix_walk_yields_every_word_once():
-    walked = sorted(letters for letters, _ in braid._suffix_walk(3, 8))
+    walked = []
+    for letters, reduced, _ in braid._suffix_walk(3, 8):
+        assert reduced == tuple(braid._free_reduce(letters)), letters
+        walked.append(letters)
     enumerated = sorted(letters for length in range(9)
                         for letters in itertools.product((1, -1, 2, -2), repeat=length))
     assert len(walked) == 87_381
-    assert walked == enumerated
+    assert sorted(walked) == enumerated
 
 
 def test_suffix_walk_images_are_the_action():
-    for letters, images in braid._suffix_walk(3, 6):
+    for letters, _, images in braid._suffix_walk(3, 6):
         assert tuple(map(tuple, images)) == artin_action(BraidWord(3, letters)).images, letters
 
 
 def test_suffix_walk_leaves_parent_images_alone():
     seen = {}
     shared = 0
-    for letters, images in braid._suffix_walk(4, 3):
+    for letters, _, images in braid._suffix_walk(4, 3):
         seen[letters] = (images, [img[:] for img in images])
         if letters:
             parent, _ = seen[letters[1:]]

@@ -348,6 +348,46 @@ def test_verify_random_deterministic(capsys):
     assert strip(json.loads(out1)) == strip(json.loads(out2))
 
 
+# The (name, status, details) of every check at seed 0, frozen: a change
+# that claims the same verify output is held to it here.
+_PINNED_CHECKS = {
+    "paper": [
+        ("word-problem-agreement", "pass", "88381 words, both routes agree"),
+        ("half-twist-relation", "pass", "tau relation and all 3 long-edge relator images verified"),
+        ("half-twist-well-defined", "pass", "4256 relator images over 459 distinct graphs, all trivial"),
+        ("witness-half-twist-trivial", "pass", "witness maps to the trivial braid"),
+        ("witness-coxeter-certificate", "pass", "reflection image differs from the identity"),
+        ("symplectic-well-defined", "pass", "70 relators over genus 2..5, plus symplectic generator images"),
+        ("chain-pairing-tridiagonal", "pass", "tridiagonal with \u00b11 off-diagonal for genus 1..6"),
+        ("cabling-homomorphism", "pass", "200 random pairs with q <= 3, k <= 2"),
+        ("cabling-blockwise-discrepancy", "pass",
+         "all 49 trivial-sigma inputs agree; 98 of 98 twisted inputs differ"),
+        ("tile-algebra", "pass",
+         "interchange on 100 pairs; union asymmetry; F-chain presentations match braid groups"),
+        ("abelianizations", "pass",
+         "braid groups k=3..8 and 81 connected graphs all give Z; disjoint pair gives Z^2"),
+        ("permutation-factorization-and-mirroring", "pass",
+         "100 equal-permutation pairs and 100 homomorphism pairs"),
+    ],
+    "random": [
+        ("random-word-problem", "pass", "200 words of length <= 16, no route disagreement"),
+        ("random-symplectic-images", "pass", "50 words at genus 2: symplectic images, inverses match"),
+        ("random-interchange", "pass", "50 random pairs"),
+        ("random-wreath-multiplicative", "pass", "25 random pairs at genus 2"),
+        ("random-cabling", "pass", "200 random pairs with q <= 3, k <= 2"),
+        ("random-factorization-mirroring", "pass", "100 equal-permutation pairs and 100 homomorphism pairs"),
+    ],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_PINNED_CHECKS))
+def test_verify_json_checks_are_pinned_at_seed_0(capsys, suite):
+    code, out, _ = run(capsys, "verify", suite, "--seed", "0", "--json")
+    assert code == 0
+    checks = [(c["name"], c["status"], c["details"]) for c in json.loads(out)["checks"]]
+    assert checks == _PINNED_CHECKS[suite]
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [(("--genus", "0"), "genus"), (("--max-len", "-3"), "length")],

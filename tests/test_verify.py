@@ -1,6 +1,8 @@
 """The exhaustive word-problem gate still fails when either route is wrong,
 and the distinct tile graphs match the per-tile route."""
 
+import re
+
 import pytest
 
 from braidtiles import braid, tiles, verify
@@ -14,10 +16,12 @@ def _word_problem_record():
     return verify._run("word-problem-agreement", lambda: verify._check_word_problem(0))
 
 
-def _assert_mismatch_on_word(record):
+def _mismatched_word(record):
+    """The letters of the word a failed gate record names."""
     assert record.status == "fail"
     assert "WordProblemMismatch" in record.details
-    assert braid.format_braid_word(braid.BraidWord(3, _WORD)) in record.details
+    named = re.search(r"for (b3: [^'\"]*)", record.details).group(1)
+    return braid.parse_braid_word(named).letters
 
 
 def test_gate_catches_a_wrong_handle_reduction(monkeypatch):
@@ -27,31 +31,51 @@ def test_gate_catches_a_wrong_handle_reduction(monkeypatch):
         return [] if letters == _WORD else real(letters)
 
     monkeypatch.setattr(braid, "_handle_reduce_letters", wrong_on_one_word)
-    _assert_mismatch_on_word(_word_problem_record())
+    # The kernel sees free reductions, so the gate names the first walked
+    # word whose free reduction is _WORD.
+    first = next(letters for letters, _, _ in braid._suffix_walk(3, 8)
+                 if braid._free_reduce(letters) == list(_WORD))
+    assert len(first) > len(_WORD)
+    assert _mismatched_word(_word_problem_record()) == first
 
 
-def test_gate_reduces_every_word_once(monkeypatch):
+def test_gate_reduces_each_distinct_free_reduction_once(monkeypatch):
     real = braid._handle_reduce_letters
     calls = []
 
     def counted(letters):
-        calls.append(len(letters))
+        calls.append(tuple(letters))
         return real(letters)
 
     monkeypatch.setattr(braid, "_handle_reduce_letters", counted)
     assert _word_problem_record().status == "pass"
-    assert len(calls) == 87_381 + 1_000
+    # 13,121 freely reduced 3-strand words of length <= 8, then the 1,000 samples
+    assert len(calls) == 13_121 + 1_000
+    exhaustive = calls[:13_121]
+    assert len(set(exhaustive)) == len(exhaustive)
+    assert all(list(letters) == braid._free_reduce(letters) for letters in exhaustive)
 
 
 def test_gate_catches_corrupted_walked_images(monkeypatch):
     real = braid._suffix_walk
 
     def corrupt_one_node(n, depth):
-        for letters, images in real(n, depth):
-            yield letters, ([[i] for i in range(1, n + 1)] if letters == _WORD else images)
+        for letters, reduced, images in real(n, depth):
+            yield letters, reduced, ([[i] for i in range(1, n + 1)] if letters == _WORD else images)
 
     monkeypatch.setattr(braid, "_suffix_walk", corrupt_one_node)
-    _assert_mismatch_on_word(_word_problem_record())
+    assert _mismatched_word(_word_problem_record()) == _WORD
+
+
+def test_gate_catches_a_corrupted_carried_reduction(monkeypatch):
+    real = braid._suffix_walk
+
+    def corrupt_one_node(n, depth):
+        for letters, reduced, images in real(n, depth):
+            yield letters, (() if letters == _WORD else reduced), images
+
+    monkeypatch.setattr(braid, "_suffix_walk", corrupt_one_node)
+    assert _mismatched_word(_word_problem_record()) == _WORD
 
 
 @pytest.mark.parametrize("max_atoms", range(1, 7))
