@@ -15,7 +15,11 @@ allocates by letters, never by strands, and passes over each position at
 most once.  A fully reduced word is empty or keeps a constant sign on its
 lowest-index generator, and the latter kind is never trivial, so
 emptiness decides.  ``is_trivial`` cross-checks the two routes and raises
-``WordProblemMismatch`` if they ever disagree.
+``WordProblemMismatch`` if they ever disagree.  The cross-check folds the
+word's free reduction, not its letters as written: a cancelling pair acts
+trivially, so the images are the same, and the default policy's size
+budget applies to the suffixes of that reduction, each of which is, as a
+braid, a suffix of the word.
 
 The action folds letters in from the right, so the oracle images of l w
 are those of w plus one letter step, and so is the free reduction of l w:
@@ -180,13 +184,21 @@ def underlying_permutation(word: BraidWord) -> Permutation:
 
 
 def _action_images(word: BraidWord, budget: int | None) -> list[list[int]] | None:
-    """Images of x_1 .. x_{m+1} under the word's action, m its largest index
-    (every later generator is fixed), or None once the images of all n
-    generators under a suffix of the word exceed ``budget`` letters in total."""
-    images = [[i] for i in range(1, max(map(abs, word.letters), default=0) + 2)]
+    """Images of x_1 .. x_{m+1} under the word's action, m the largest index
+    of its free reduction (every later generator is fixed), or None once the
+    images of all n generators under a suffix of that reduction exceed
+    ``budget`` letters in total.
+
+    Only the free reduction is folded: a cancelling pair acts trivially, and
+    no kept letter sits inside a cancelled pair, so every suffix of the
+    reduction is, as a braid, a suffix of the word.  The images are the
+    same, and the budget gives up only on words it would give up on when
+    folding every letter as written."""
+    letters = _free_reduce(word.letters)
+    images = [[i] for i in range(1, max(map(abs, letters), default=0) + 2)]
     if budget is not None:
         budget -= word.n - len(images)  # the fixed generators' letters count too
-    return _fold_letters(images, word.letters, budget)
+    return _fold_letters(images, letters, budget)
 
 
 def _fold_letters(images: list[list[int]], letters: Sequence[int], budget: int | None) -> list[list[int]] | None:
@@ -321,12 +333,13 @@ def is_trivial(word: BraidWord, *, oracle: bool | None = None) -> bool:
     """Decide whether the word represents the identity braid.
 
     The fast path is handle reduction.  The cross-check folds the word's
-    letters into the images of the generators it moves (``_action_images``)
-    and raises WordProblemMismatch if the action's verdict disagrees.  With
-    ``oracle=True`` it always runs: it folds only the strands the word
-    touches and never gives up.  The default runs it for words of at most
-    ORACLE_AUTO_LIMIT letters, abandoning it (fast path only) if the images
-    outgrow an internal budget.  ``oracle=False`` skips it.
+    free reduction into the images of the generators it moves
+    (``_action_images``) and raises WordProblemMismatch if the action's
+    verdict disagrees.  With ``oracle=True`` it always runs: it folds only
+    the strands the reduction touches and never gives up.  The default runs
+    it for words of at most ORACLE_AUTO_LIMIT letters, abandoning it (fast
+    path only) if the images under a suffix of the free reduction outgrow an
+    internal budget.  ``oracle=False`` skips it.
     """
     fast = len(handle_reduce(word)) == 0
     if not (oracle or (oracle is None and len(word.letters) <= ORACLE_AUTO_LIMIT)):

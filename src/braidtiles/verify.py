@@ -152,15 +152,16 @@ def _distinct_graphs(max_atoms: int) -> list[MarkedGraph]:
 
 
 def _check_theta_all_tiles(graphs: Sequence[MarkedGraph]) -> Outcome:
-    trivial_cache: dict[tuple[int, tuple[int, ...]], bool] = {}
+    # keyed on what half_twist_image reads: the point count and each
+    # letter's edge and sign, so an image is built only on a miss
+    trivial_cache: dict[tuple[int, tuple[tuple[tuple[int, int], bool], ...]], bool] = {}
     relators = 0
     for g in graphs:
         pres = artin.presentation_from_graph(g)
         for rel in pres.relators:
-            image = homs.half_twist_image(g, rel)
-            key = (image.n, image.letters)
+            key = (g.points, tuple((g.edges[abs(x) - 1], x > 0) for x in rel))
             if key not in trivial_cache:
-                trivial_cache[key] = braid.is_trivial(image)
+                trivial_cache[key] = braid.is_trivial(homs.half_twist_image(g, rel))
             if not trivial_cache[key]:
                 return False, f"relator {pres.format_word(rel)} on {g} has nontrivial image"
             relators += 1

@@ -219,14 +219,55 @@ def test_budgeted_action_gives_up_or_agrees():
 
 
 def test_action_budget_counts_every_strand():
-    # only strands up to the largest index + 1 are folded, but the budget
-    # still gives up exactly where folding all n strands would
+    # only strands up to the free reduction's largest index + 1 are folded,
+    # but the budget still gives up exactly where folding that reduction
+    # on all n strands would
     rng = random.Random(43)
     for _ in range(200):
         word = rand_word(rng, rng.randint(2, 9), rng.randint(0, 24))
-        every_strand = braid._fold_letters([[i] for i in range(1, word.n + 1)], word.letters, 40)
+        reduced = braid._free_reduce(word.letters)
+        every_strand = braid._fold_letters([[i] for i in range(1, word.n + 1)], reduced, 40)
         assert (braid._action_images(word, 40) is None) == (every_strand is None)
     assert len(artin_action(BraidWord(10, (1, -2))).images) == 10
+
+
+def _with_cancellations(rng: random.Random, n: int) -> BraidWord:
+    """x y y^-1 z with x, y, z random: a word whose free reduction is shorter."""
+    x, y, z = (rand_word(rng, n, rng.randint(0, 12)) for _ in range(3))
+    return x * y * y.inverse() * z
+
+
+def test_budget_on_the_free_reduction_never_loosens_the_check():
+    # folding the free reduction gives up only where folding every letter as
+    # written would, and whenever it does not give up it reads the full images
+    rng = random.Random(44)
+    gave_up = recovered = 0
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        word = _with_cancellations(rng, n)
+        as_written = braid._fold_letters([[i] for i in range(1, n + 1)], word.letters, 40)
+        budgeted = braid._action_images(word, 40)
+        if as_written is not None:
+            assert budgeted is not None, word
+        if budgeted is not None:
+            assert budgeted == braid._action_images(word, None), word
+        gave_up += budgeted is None
+        recovered += as_written is None and budgeted is not None
+    assert 0 < gave_up < 300
+    assert recovered > 0  # some words skipped as written are now checked
+
+
+def test_cancelling_pairs_do_not_skip_the_cross_check(monkeypatch):
+    # folded as written, x x^-1 outgrows the budget; its free reduction is
+    # empty, so the cross-check runs and catches a wrong fast path
+    x = BraidWord(3, (1, -2) * 12)
+    assert braid._fold_letters([[1], [2], [3]], (x * x.inverse()).letters,
+                               braid._ORACLE_SIZE_BUDGET) is None
+    monkeypatch.setattr(braid, "_handle_reduce_letters", lambda letters: [1])
+    with pytest.raises(braid.WordProblemMismatch):
+        is_trivial(x * x.inverse())
+    with pytest.raises(braid.WordProblemMismatch):
+        equal(x, x)
 
 
 def test_suffix_walk_yields_every_word_once():
