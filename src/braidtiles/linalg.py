@@ -10,6 +10,8 @@ products: ``rank_one_product`` folds their rank-one letters, reading only
 nonzero entries; the dense product and ``inverse`` are the exact reference.
 Integer-valued entries are stored as ``int`` and only genuinely fractional
 entries as ``Fraction``, and no floating point is involved anywhere.
+``smith_normal_form`` returns only the Smith diagonal, which is unique; it
+keeps no unimodular certificate.
 """
 
 from __future__ import annotations
@@ -257,106 +259,44 @@ def is_symplectic(m: ExactMatrix, form: SymplecticForm) -> bool:
     return m.transpose() * j * m == j
 
 
-def smith_normal_form(m: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
-    """Smith normal form of an integer matrix.
+def smith_normal_form(m: ExactMatrix) -> tuple[int, ...]:
+    """Diagonal d1 | d2 | ... of the Smith normal form of an integer matrix:
+    min(rows, cols) nonnegative ints, zeros last.  The diagonal is unique,
+    so no unimodular certificate is kept.
 
-    Returns (d, u, v) with u*m*v = d, u and v unimodular, d diagonal with
-    nonnegative entries satisfying d[0] | d[1] | ... .  Pivots are chosen
-    as the smallest nonzero absolute value in the trailing submatrix, ties
-    broken by row-major position, which makes the output deterministic.
+    Each round pivots on the smallest nonzero |entry| left (ties by
+    row-major position) and clears its column and row modulo the pivot.  A
+    remainder, or a row with an entry the pivot does not divide added to
+    the pivot row, leaves a smaller entry to pivot on next; otherwise |pivot|
+    is recorded and its row, its column and every zero row are dropped.
     """
     if not m.is_integer():
         raise ValueError("smith_normal_form requires integer entries")
-    rows, cols = m.rows, m.cols
-    a = [list(map(int, row)) for row in m.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row[dst] += q * row[src]
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def pivot_position(t):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = abs(a[i][j])
-                if x and (best is None or x < best[0]):
-                    best = (x, i, j)
-        return None if best is None else (best[1], best[2])
-
-    t = 0
-    while t < min(rows, cols):
-        pos = pivot_position(t)
-        if pos is None:
-            break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
-        while True:
-            # Clear the pivot column, re-pivoting on any smaller remainder.
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # Row and column are clear; enforce divisibility of the rest.
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+    a = [list(row) for row in m.entries if any(row)]
+    diag: list[int] = []
+    while a:
+        _, i, j = min((abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x)
+        p, pivot = a[i][j], a[i]
+        for r, row in enumerate(a):
+            if row[j] and r != i:
+                q = row[j] // p
+                a[r] = [x - q * y for x, y in zip(row, pivot)]
+        if any(row[j] for row in a if row is not pivot):
+            continue
+        # Column j is now p at row i alone, so column steps change only row i.
+        if not any(x % p for x in pivot):
+            offender = next((row for row in a if any(x % p for x in row)), None)
             if offender is None:
-                break
-            add_row(offender, t, 1)
-        t += 1
-
-    for i in range(min(rows, cols)):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-
-    d = ExactMatrix.from_rows(a, cols=cols)
-    return d, ExactMatrix.from_rows(u, cols=rows), ExactMatrix.from_rows(v, cols=cols)
+                diag.append(abs(p))
+                a = [row[:j] + row[j + 1:] for row in a if row is not pivot and any(row)]
+                continue
+            pivot = [x + y for x, y in zip(pivot, offender)]
+        a[i] = [x % p for x in pivot]
+        a[i][j] = p
+    return tuple(diag) + (0,) * (min(m.rows, m.cols) - len(diag))
 
 
 def invariant_factors(m: ExactMatrix) -> tuple[int, ...]:
-    """Nonzero diagonal entries of the Smith normal form of m, in order; they
-    depend only on the row lattice of m."""
-    d, _, _ = smith_normal_form(m)
-    return tuple(d.entries[i][i] for i in range(min(d.rows, d.cols)) if d.entries[i][i])
+    """Nonzero entries of the Smith diagonal of m, in order; they depend only
+    on the row lattice of m."""
+    return tuple(d for d in smith_normal_form(m) if d)

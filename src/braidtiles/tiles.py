@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .artin import Presentation, presentation_from_graph
 from .graphs import HalfEdge, MarkedGraph
@@ -142,6 +143,7 @@ def disjoint_union(*parts: TileExpr) -> TileExpr:
 # -- text format --------------------------------------------------------
 
 _PREC = {"+": 2, ";": 1}
+_IDENTITY_TERM = re.compile(r"1_(\d+)")
 
 
 def parse_tile_expression(text: str) -> TileExpr:
@@ -161,10 +163,10 @@ def parse_tile_expression(text: str) -> TileExpr:
             tokens.append((ch, 0, i))
             i += 1
             continue
-        m = re.match(r"1_(\d+)", text[i:])
+        m = _IDENTITY_TERM.match(text, i)
         if m:
             tokens.append(("1", int(m.group(1)), i))
-            i += len(m.group(0))
+            i = m.end()
             continue
         raise TileParseError(f"unexpected character {ch!r}", i)
 
@@ -530,21 +532,37 @@ def enumerate_trees(max_atoms: int) -> tuple[tuple[TileExpr, ...], ...]:
     return tuple(tuple(group) for group in by_size)
 
 
+T = TypeVar("T")
+
+
+def _forests(values_by_size: Sequence[Sequence[T]], join: Callable[[T, T], T]) -> Iterator[T]:
+    """Each ordered forest of trees with 1..len(values_by_size) atoms in
+    all, as its trees' values folded left to right by ``join`` (entry i-1
+    holds the values of the trees with i atoms).  Forests come by atom
+    count, then tree by tree, smaller trees first.  One explicit stack
+    walks them, so forests with a common prefix share its fold."""
+    trees = [(size, v) for size, group in enumerate(values_by_size, start=1) for v in group]
+    fit = [0]  # fit[a]: trees of at most a atoms
+    for group in values_by_size:
+        fit.append(fit[-1] + len(group))
+    for total in range(1, len(values_by_size) + 1):
+        # (next trees to try, atoms still to place, fold so far or None)
+        stack = [(islice(trees, fit[total]), total, None)]
+        while stack:
+            children, left, prefix = stack[-1]
+            for size, v in children:
+                value = v if prefix is None else join(prefix, v)
+                if size == left:
+                    yield value
+                else:
+                    stack.append((islice(trees, fit[left - size]), left - size, value))
+                    break
+            else:
+                stack.pop()
+
+
 def enumerate_tiles(max_atoms: int) -> Iterator[TileExpr]:
     """All tiles with 1..max_atoms atoms and no through-wires: ordered
     unions of trees.  Through-wire padding never changes the marked graph,
     so this is the whole supply of marked graphs at the budget."""
-    trees = enumerate_trees(max_atoms)
-
-    def forests(total: int, prefix: TileExpr | None) -> Iterator[TileExpr]:
-        """Left-nested unions of ``prefix`` with trees of ``total`` atoms."""
-        for size in range(1, total + 1):
-            for tree in trees[size - 1]:
-                union = tree if prefix is None else UnionExpr(prefix, tree)
-                if size == total:
-                    yield union
-                else:
-                    yield from forests(total - size, union)
-
-    for total in range(1, max_atoms + 1):
-        yield from forests(total, None)
+    yield from _forests(enumerate_trees(max_atoms), UnionExpr)

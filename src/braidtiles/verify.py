@@ -108,46 +108,32 @@ def _distinct_graphs(max_atoms: int) -> list[MarkedGraph]:
 
     Those tiles are the ordered forests of trees, and a forest's graph is
     its trees' graphs side by side (``tiles._union_graph``).  So each tree's
-    graph is built once, and a stack of child iterators walks the forests
-    in ``enumerate_tiles`` order, carrying each prefix's point count and
-    edges.  The trees' edges are sorted and shift into disjoint ascending
-    ranges, so the carried edges are already the sorted edges a
-    ``MarkedGraph`` would hold, and only a new (points, edges) key builds
-    one."""
-    # (graph, dom, cod) and atom count of every tree, smallest first.  The
-    # 993 trees of at most 5 atoms hold only 33 distinct edges and 53
+    graph is built once, and the forest walk of ``enumerate_tiles``
+    (``tiles._forests``) folds each forest's point count, edges and parts.
+    The trees' edges are sorted and shift into disjoint ascending ranges, so
+    the folded edges are already the sorted edges a ``MarkedGraph`` would
+    hold, and only a new (points, edges) key builds one."""
+    # The 993 trees of at most 5 atoms hold only 33 distinct edges and 53
     # distinct half-edges, so each graph is rebuilt on one shared copy of each.
     shared: dict = {}
-    parts: list[tuple[MarkedGraph, int, int]] = []
-    sizes: list[int] = []
-    up_to = [0]  # up_to[a]: trees of at most a atoms
-    for size, group in enumerate(tiles.enumerate_trees(max_atoms), start=1):
-        for t in group:
-            g = tiles.marked_graph_of(t)
-            g = MarkedGraph(g.points, tuple(map(shared.setdefault, g.edges, g.edges)),
-                            tuple(map(shared.setdefault, g.half_edges, g.half_edges)))
-            parts.append((g, t.dom, 1))
-            sizes.append(size)
-        up_to.append(len(parts))
+
+    def tree_value(t: tiles.TileExpr) -> tuple:
+        g = tiles.marked_graph_of(t)
+        g = MarkedGraph(g.points, tuple(map(shared.setdefault, g.edges, g.edges)),
+                        tuple(map(shared.setdefault, g.half_edges, g.half_edges)))
+        return g.points, g.edges, ((g, t.dom, 1),)
+
+    def join(forest: tuple, tree: tuple) -> tuple:
+        points, edges, parts = forest
+        return points + tree[0], edges + tiles._shifted_edges(tree[1], points), parts + tree[2]
+
     seen: set[tuple] = set()
     out: list[MarkedGraph] = []
-    for total in range(1, max_atoms + 1):
-        # (next trees to try, atoms still to place, trees so far, their points, their edges)
-        stack = [(iter(range(up_to[total])), total, (), 0, ())]
-        while stack:
-            children, left, forest, points, edges = stack[-1]
-            k = next(children, None)
-            if k is None:
-                stack.pop()
-                continue
-            g = parts[k][0]
-            key = (points + g.points, edges + tiles._shifted_edges(g.edges, points))
-            if sizes[k] < left:
-                rest = left - sizes[k]
-                stack.append((iter(range(up_to[rest])), rest, forest + (parts[k],), *key))
-            elif key not in seen:
-                out.append(tiles._union_graph(forest + (parts[k],)))
-                seen.add((out[-1].points, out[-1].edges))  # an equal key sharing the graph's tuples
+    trees = [[tree_value(t) for t in group] for group in tiles.enumerate_trees(max_atoms)]
+    for points, edges, parts in tiles._forests(trees, join):
+        if (points, edges) not in seen:
+            out.append(tiles._union_graph(parts))
+            seen.add((out[-1].points, out[-1].edges))  # an equal key sharing the graph's tuples
     return out
 
 

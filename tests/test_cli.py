@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -451,6 +453,59 @@ def test_oversized_strand_count_explicit_oracle_in_a_fresh_interpreter():
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout == "True\nTrue\n"
     assert proc.stderr == ""
+
+
+def _bareiss_det(rows):
+    """Fraction-free Gaussian elimination over Python ints; independent of
+    braidtiles."""
+    a = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(len(a) - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, len(a)) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def _dense(n, seed):
+    rng = random.Random(seed)
+    return [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+
+
+def test_dense_smith_diagonal_in_a_fresh_interpreter():
+    # a fresh interpreter with a timeout, so an elimination whose entries blow up fails the run instead of hanging it
+    cases = [_dense(14, 14), _dense(30, 30)]
+    proc = _run_under_a_memory_limit("-c", (
+        "import json, sys\n"
+        "from braidtiles.linalg import ExactMatrix, smith_normal_form\n"
+        "ms = [ExactMatrix.from_rows(rows) for rows in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([[smith_normal_form(m), smith_normal_form(m.transpose())] for m in ms]))\n"
+    ), json.dumps(cases))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    for rows, (diag, diag_t) in zip(cases, json.loads(proc.stdout)):
+        assert diag == diag_t
+        assert math.prod(diag) == abs(_bareiss_det(rows))
+        assert all(d >= 0 for d in diag)
+        assert all(diag[k + 1] % diag[k] == 0 for k in range(len(diag) - 1) if diag[k])
+
+
+def test_dense_presentation_abelianizes_in_a_fresh_interpreter():
+    rows = _dense(14, 14)
+    det = _bareiss_det(rows)
+    assert det != 0
+    relators = [[g if e > 0 else -g for g, e in enumerate(row, start=1) for _ in range(abs(e))] for row in rows]
+    pres = json.dumps({"generators": [f"x{i}" for i in range(1, 15)], "relators": relators})
+    proc = _run_under_a_memory_limit("-m", "braidtiles.cli", "artin", "abelianize", "--json", "--presentation", pres)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout)
+    assert result["free_rank"] == 0
+    assert math.prod(result["torsion"]) == abs(det)
 
 
 def test_no_arguments_exits_2(capsys):

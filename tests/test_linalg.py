@@ -154,10 +154,7 @@ SNF_CASES = [
 
 @pytest.mark.parametrize("rows,diag", SNF_CASES)
 def test_smith_frozen_diagonals(rows, diag):
-    m = ExactMatrix.from_rows(rows)
-    d, u, v = smith_normal_form(m)
-    assert [d.entries[i][i] for i in range(len(diag))] == diag
-    assert u * m * v == d
+    assert smith_normal_form(ExactMatrix.from_rows(rows)) == tuple(diag)
 
 
 def test_smith_rejects_non_integer():
@@ -171,15 +168,11 @@ def test_smith_random_properties():
         r, c = rng.randint(1, 4), rng.randint(1, 5)
         rows = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
         m = ExactMatrix.from_rows(rows, cols=c)
-        d, u, v = smith_normal_form(m)
-        assert u * m * v == d
-        assert abs(_int_det(u.entries)) == 1 and abs(_int_det(v.entries)) == 1
-        diag = [d.entries[i][i] for i in range(min(r, c))]
-        assert all(
-            d.entries[i][j] == 0 for i in range(r) for j in range(c) if i != j
-        )
-        assert all(x >= 0 for x in diag)
+        diag = smith_normal_form(m)
+        assert len(diag) == min(r, c)
+        assert all(isinstance(x, int) and x >= 0 for x in diag)
         nonzero = [x for x in diag if x]
+        assert list(diag) == nonzero + [0] * (len(diag) - len(nonzero))
         assert all(nonzero[i + 1] % nonzero[i] == 0 for i in range(len(nonzero) - 1))
         # invariant factors agree with the gcd-of-minors definition
         assert list(invariant_factors(m)) == _factors_from_divisors(

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from braidtiles.tiles import (
     P,
     TileNormalForm,
     TileParseError,
+    UnionExpr,
     compose,
     disjoint_union,
     enumerate_tiles,
@@ -98,6 +100,17 @@ def test_glue_mismatch_is_a_parse_error_with_position():
         t("F ; P")
     assert "cannot glue" in str(err.value)
     assert err.value.position == 2
+
+
+def test_identity_terms_parse_in_linear_time():
+    # matching each 1_<n> term against a copy of the rest of the text would make this quadratic
+    def parse_seconds(term):
+        text = " + ".join([term] * 200_000)
+        started = time.perf_counter()
+        parse_tile_expression(text)
+        return time.perf_counter() - started
+
+    assert parse_seconds("1_1") <= 3 * parse_seconds("F")
 
 
 # -- normal forms ----------------------------------------------------------------
@@ -313,6 +326,28 @@ def test_enumerated_tiles_are_distinct():
         nf = normal_form(expr)
         assert nf not in seen
         seen.add(nf)
+
+
+def _recursive_tiles(max_atoms):
+    """Ordered unions of trees by recursion over the remaining atoms."""
+    trees = enumerate_trees(max_atoms)
+
+    def forests(total, prefix):
+        for size in range(1, total + 1):
+            for tree in trees[size - 1]:
+                union = tree if prefix is None else UnionExpr(prefix, tree)
+                if size == total:
+                    yield union
+                else:
+                    yield from forests(total - size, union)
+
+    for total in range(1, max_atoms + 1):
+        yield from forests(total, None)
+
+
+@pytest.mark.parametrize("max_atoms", range(0, 7))
+def test_enumerated_tiles_match_the_recursive_enumeration(max_atoms):
+    assert list(enumerate_tiles(max_atoms)) == list(_recursive_tiles(max_atoms))
 
 
 def test_distinct_graph_count_is_stable():
