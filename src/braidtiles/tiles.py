@@ -495,9 +495,26 @@ def marked_graph_of(tile: TileExpr | TileNormalForm) -> MarkedGraph:
 def marked_point_count(tile: TileExpr | TileNormalForm) -> int:
     """Number of marked points; the braid group on this many strands is the
     tile's endomorphism group after completion (half twists around edges
-    generate only a subgroup in general)."""
-    nf = tile if isinstance(tile, TileNormalForm) else normal_form(tile)
-    return sum(_POINTS[t] for t in nf.tags)
+    generate only a subgroup in general).
+
+    The normal form keeps exactly the expression's atoms, so an expression
+    is counted by walking it, with no diagram built: the cost follows its
+    terms, never an identity's width, and its depth needs no recursion."""
+    if isinstance(tile, TileNormalForm):
+        return sum(_POINTS[t] for t in tile.tags)
+    count = 0
+    stack = [tile]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, AtomExpr):
+            count += _POINTS[e.tag]
+        elif isinstance(e, UnionExpr):
+            stack += (e.left, e.right)
+        elif isinstance(e, ComposeExpr):
+            stack += (e.first, e.second)
+        elif not isinstance(e, IdentityExpr):
+            raise TypeError(f"not a tile expression: {e!r}")
+    return count
 
 
 def endomorphism_presentation(tile: TileExpr | TileNormalForm) -> Presentation:

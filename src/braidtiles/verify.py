@@ -51,18 +51,22 @@ def _check_word_problem(seed: int) -> Outcome:
 
     The exhaustive words are walked as a suffix tree, which carries each
     word's free-group images and, apart from them, its free reduction,
-    each one letter step from its parent's.  Handle reduction free-reduces
-    its input first, so its verdict on a word is its verdict on the
-    word's free reduction: the kernel runs once per distinct free
-    reduction (13,121 at depth 8), and every word's oracle verdict is
-    still read off its own images.  Only reductions of at most depth - 2
-    letters are remembered: a word that is not freely reduced loses at
-    least two letters, so a longer reduction is a freely reduced word,
-    which the walk meets exactly once.  A ``BraidWord`` is built only to
-    name a word on which the routes disagree."""
+    each one letter step from its parent's.  The images are tuples of
+    tuples, and the walk folds each distinct step once (3,230 of the
+    87,380 steps at depth 8), so words with equal images share them; each
+    word still gets its own images, and its oracle verdict is
+    ``images == identity``.  Handle reduction free-reduces its input
+    first, so its verdict on a word is its verdict on the word's free
+    reduction: the kernel runs once per distinct free reduction (13,121 at
+    depth 8), and every word's oracle verdict is still read off its own
+    images.  Only reductions of at most depth - 2 letters are remembered:
+    a word that is not freely reduced loses at least two letters, so a
+    longer reduction is a freely reduced word, which the walk meets
+    exactly once.  A ``BraidWord`` is built only to name a word on which
+    the routes disagree."""
     rng = random.Random(seed)
     depth = 8
-    identity = [[1], [2], [3]]
+    identity = ((1,), (2,), (3,))
     verdicts: dict[tuple[int, ...], bool] = {}  # free reduction -> handle-reduction verdict
     checked = 0
     for letters, reduced, images in braid._suffix_walk(3, depth):

@@ -286,15 +286,40 @@ def test_suffix_walk_images_are_the_action():
         assert tuple(map(tuple, images)) == artin_action(BraidWord(3, letters)).images, letters
 
 
+def test_suffix_walk_images_match_a_fold_from_scratch():
+    walked = 0
+    for letters, _, images in braid._suffix_walk(3, 8):
+        assert tuple(map(tuple, braid._fold_letters([[1], [2], [3]], letters, None))) == images, letters
+        walked += 1
+    assert walked == 87_381
+
+
+def test_suffix_walk_folds_each_distinct_step_once_per_walk(monkeypatch):
+    real = braid._fold_letters
+    calls = []
+
+    def counted(images, letters, budget):
+        calls.append(letters)
+        return real(images, letters, budget)
+
+    monkeypatch.setattr(braid, "_fold_letters", counted)
+    for walk in (1, 2):  # the step table lives for one walk: a second walk folds as many
+        calls.clear()
+        for _ in braid._suffix_walk(3, 8):
+            pass
+        assert len(calls) == 3_230, walk  # of 87,380 letter steps
+        assert set(calls) == {(1,), (-1,)}
+
+
 def test_suffix_walk_leaves_parent_images_alone():
     seen = {}
     shared = 0
     for letters, _, images in braid._suffix_walk(4, 3):
-        seen[letters] = (images, [img[:] for img in images])
+        seen[letters] = (images, tuple(img[:] for img in images))
         if letters:
             parent, _ = seen[letters[1:]]
             shared += sum(any(img is p for p in parent) for img in images)
-    assert shared > 0  # children reuse their parent's image lists...
+    assert shared > 0  # children reuse their parent's images...
     for images, snapshot in seen.values():
         assert images == snapshot  # ...and generating them changed none
 

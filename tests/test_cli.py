@@ -427,6 +427,14 @@ def test_oversized_input_exits_3_in_a_fresh_interpreter(argv):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+def test_tile_mcg_counts_an_oversized_identity_in_a_fresh_interpreter():
+    # the point count walks the expression and never draws its identity wires
+    proc = _run_under_a_memory_limit("-m", "braidtiles.cli", "tile", "mcg", "1_1000000000000")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith("0 marked points; ")
+    assert proc.stderr == ""
+
+
 def test_oversized_strand_count_reduces_in_a_fresh_interpreter():
     # handle reduction allocates by the word's letters, not its strands
     proc = _run_under_a_memory_limit("-m", "braidtiles.cli", "braid", "reduce", "b1000000000000: s1")

@@ -248,6 +248,24 @@ def test_marked_point_count_matches_graph():
             assert marked_point_count(expr) == marked_graph_of(expr).points
 
 
+def test_marked_point_count_of_a_padded_expression_matches_its_graph():
+    # an expression is counted from its atoms, with no normal form; identity wires add no point
+    for k, expr in enumerate(enumerate_tiles(5)):
+        pad = identity(k % 3)
+        for padded in (disjoint_union(expr, identity(k % 4)),
+                       compose(disjoint_union(pad, expr), identity(pad.cod + expr.cod))):
+            assert marked_point_count(padded) == marked_graph_of(padded).points
+
+
+def test_marked_point_count_of_a_deep_chain_needs_no_recursion():
+    n = 100_000
+    right_nested = F
+    for _ in range(n - 1):
+        right_nested = tiles.ComposeExpr(F, right_nested)
+    assert marked_point_count(compose(*([F] * n))) == 2 * n
+    assert marked_point_count(right_nested) == 2 * n
+
+
 def test_all_small_tiles_yield_forests():
     for expr in enumerate_tiles(4):
         g = marked_graph_of(expr)

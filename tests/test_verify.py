@@ -61,7 +61,7 @@ def test_gate_catches_corrupted_walked_images(monkeypatch):
 
     def corrupt_one_node(n, depth):
         for letters, reduced, images in real(n, depth):
-            yield letters, reduced, ([[i] for i in range(1, n + 1)] if letters == _WORD else images)
+            yield letters, reduced, (tuple((i,) for i in range(1, n + 1)) if letters == _WORD else images)
 
     monkeypatch.setattr(braid, "_suffix_walk", corrupt_one_node)
     assert _mismatched_word(_word_problem_record()) == _WORD
