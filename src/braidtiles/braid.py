@@ -5,7 +5,7 @@ act first.  Permutations therefore compose diagrammatically (``p * q`` is
 "p then q"), and the free-group action of a word is the composite of its
 letter substitutions applied left to right.
 
-The word problem has two routes.  The normative oracle is the action on
+The word problem has three routes.  The normative oracle is the action on
 the free group F_n (sigma_i sends x_i to x_i x_{i+1} x_i^-1 and x_{i+1}
 to x_i); a word is trivial iff it acts as the identity.  The fast path is
 handle reduction: repeatedly rewrite the handle with the leftmost closing
@@ -14,12 +14,12 @@ position, to the nearest letter left of it with a smaller index, so it
 allocates by letters, never by strands, and passes over each position at
 most once.  A fully reduced word is empty or keeps a constant sign on its
 lowest-index generator, and the latter kind is never trivial, so
-emptiness decides.  ``is_trivial`` cross-checks the two routes and raises
-``WordProblemMismatch`` if they ever disagree.  The cross-check folds the
-word's free reduction, not its letters as written: a cancelling pair acts
-trivially, so the images are the same, and the default policy's size
-budget applies to the suffixes of that reduction, each of which is, as a
-braid, a suffix of the word.
+emptiness decides.  The cross-check is the faithful action on Dynnikov
+coordinates of laminations of the punctured disk: one exact, piecewise
+linear update of four integers per letter, and their bit length grows at
+most linearly with the word.  ``is_trivial`` decides every word, of any length,
+by handle reduction, checks it with Dynnikov coordinates, and raises
+``WordProblemMismatch`` if they ever disagree.
 
 The action folds letters in from the right, so the oracle images of l w
 are those of w plus one letter step, and so is the free reduction of l w:
@@ -45,14 +45,6 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-# Words at most this long get the free-group cross-check by default.
-ORACLE_AUTO_LIMIT = 64
-
-# The automatic cross-check gives up once the endomorphism images hold this
-# many letters in total: powers of pseudo-Anosov braids grow exponentially
-# under the action, and the default policy must never stall on them.
-_ORACLE_SIZE_BUDGET = 250_000
-
 _HANDLE_STEP_LIMIT = 500_000
 
 
@@ -65,7 +57,7 @@ class BraidParseError(ValueError):
 
 
 class WordProblemMismatch(RuntimeError):
-    """The fast path and the free-group oracle disagreed: an implementation bug."""
+    """Two word-problem routes disagreed on a word: an implementation bug."""
 
 
 @dataclass(frozen=True)
@@ -152,13 +144,6 @@ class FreeGroupEndo:
     def is_identity(self) -> bool:
         return all(w == (i,) for i, w in enumerate(self.images, start=1))
 
-    def apply(self, word: Iterable[int]) -> tuple[int, ...]:
-        """Image of a free-group word, freely reduced."""
-        out: list[int] = []
-        for x in word:
-            _free_reduce(self.images[x - 1] if x > 0 else _inverse(self.images[-x - 1]), out)
-        return tuple(out)
-
 
 def _inverse(word: Sequence[int]) -> list[int]:
     return [-x for x in reversed(word)]
@@ -188,29 +173,9 @@ def underlying_permutation(word: BraidWord) -> Permutation:
     return Permutation(tuple(images))
 
 
-def _action_images(word: BraidWord, budget: int | None) -> list[list[int]] | None:
-    """Images of x_1 .. x_{m+1} under the word's action, m the largest index
-    of its free reduction (every later generator is fixed), or None once the
-    images of all n generators under a suffix of that reduction exceed
-    ``budget`` letters in total.
-
-    Only the free reduction is folded: a cancelling pair acts trivially, and
-    no kept letter sits inside a cancelled pair, so every suffix of the
-    reduction is, as a braid, a suffix of the word.  The images are the
-    same, and the budget gives up only on words it would give up on when
-    folding every letter as written."""
-    letters = _free_reduce(word.letters)
-    images = [[i] for i in range(1, max(map(abs, letters), default=0) + 2)]
-    if budget is not None:
-        budget -= word.n - len(images)  # the fixed generators' letters count too
-    return _fold_letters(images, letters, budget)
-
-
-def _fold_letters(
-    images: list[Sequence[int]], letters: Sequence[int], budget: int | None
-) -> list[Sequence[int]] | None:
+def _fold_letters(images: list[Sequence[int]], letters: Sequence[int]) -> list[Sequence[int]]:
     """Turn the images under a word w into the images under ``letters`` w,
-    in place, or return None once their total length exceeds ``budget``.
+    in place, and return them.
     Letters fold in from the right: with a, b the images of x_i, x_{i+1}
     under w, sigma_i w sends x_i to a b a^-1 and x_{i+1} to a, sigma_i^-1 w
     sends x_i to b and x_{i+1} to b^-1 a b, and other images stay.
@@ -220,7 +185,6 @@ def _fold_letters(
     an image that moves to the other slot is the same object.  So the
     images may be lists or tuples: ``_suffix_walk`` folds a two-slot frame
     of the tuples a, b and keeps the moved one as it is."""
-    total = 0 if budget is None else sum(map(len, images))
     for l in reversed(letters):
         i = abs(l)
         a, b = images[i - 1], images[i]
@@ -228,10 +192,6 @@ def _fold_letters(
             images[i - 1], images[i] = _free_reduce(_inverse(a), _free_reduce(b, list(a))), a
         else:
             images[i - 1], images[i] = b, _free_reduce(b, _free_reduce(a, _inverse(b)))
-        if budget is not None:
-            total += len(images[i - 1]) + len(images[i]) - len(a) - len(b)
-            if total > budget:
-                return None
     return images
 
 
@@ -270,18 +230,20 @@ def _suffix_walk(
                 a, b = images[i - 1], images[i]
                 step = steps.get((a, b, sign))
                 if step is None:
-                    step = steps[a, b, sign] = tuple(map(tuple, _fold_letters([a, b], (sign,), None)))
+                    step = steps[a, b, sign] = tuple(map(tuple, _fold_letters([a, b], (sign,))))
                 stack.append(((l,) + letters, child, images[:i - 1] + step + images[i + 1:]))
 
 
 def artin_action(word: BraidWord) -> FreeGroupEndo:
     """Action of the word on F_n, letters applied left to right.
 
-    This is the package's word-problem oracle: the action is faithful, so
-    the image is the identity endomorphism iff the word is trivial.
+    This is the package's normative word-problem oracle: the action is
+    faithful, so the image is the identity iff the word is trivial.  Only
+    the free reduction is folded, into x_1 .. x_{m+1} for m its largest
+    index; every later generator is fixed.
     """
-    images = _action_images(word, None)
-    assert images is not None
+    letters = _free_reduce(word.letters)
+    images = _fold_letters([[i] for i in range(1, max(map(abs, letters), default=0) + 2)], letters)
     fixed = ((i,) for i in range(len(images) + 1, word.n + 1))
     return FreeGroupEndo(word.n, (*map(tuple, images), *fixed))
 
@@ -346,40 +308,66 @@ def handle_reduce(word: BraidWord) -> BraidWord:
     return BraidWord(word.n, tuple(_handle_reduce_letters(word.letters)))
 
 
-def is_trivial(word: BraidWord, *, oracle: bool | None = None) -> bool:
+def _dynnikov_trivial(letters: Sequence[int]) -> bool:
+    """Decide triviality by the word's action on Dynnikov coordinates.
+
+    With m the word's largest index, the coordinates are pairs (a_k, b_k),
+    k = 0..m: the word acts on m + 3 strands, where every letter is an
+    interior generator and +i, -i rewrite only (a, b, c, d) = (a_{i-1},
+    b_{i-1}, a_i, b_i).  Letters apply left to right; with x+ = max(x, 0)
+    and x- = min(x, 0),
+
+    - sigma_i:    e = a - b- - c + d+ gives
+      (a + b+ + (d+ - e)+, d - e+, c + d- + (b- + e)-, b + e+);
+    - sigma_i^-1: e = a + b- - c - d+ gives
+      (a - b+ - (d+ + e)+, d + e-, c - d- - (b- - e)-, b - e-).
+
+    The action is faithful, and a braid is trivial iff it fixes
+    (0, 1, 0, 1, ..., 0, 1) (Dehornoy, Dynnikov, Rolfsen and Wiest,
+    *Ordering Braids*, 2008).  Nothing is allocated per strand."""
+    start = [0, 1] * (max(map(abs, letters), default=0) + 1)
+    x = start[:]
+    for l in letters:
+        j = 2 * l - 2 if l > 0 else -2 * l - 2
+        a, b, c, d = x[j:j + 4]
+        bp, bm = (b, 0) if b > 0 else (0, b)
+        dp, dm = (d, 0) if d > 0 else (0, d)
+        if l > 0:
+            e = a - bm - c + dp
+            t, u, ep = dp - e, bm + e, (e if e > 0 else 0)
+            x[j:j + 4] = a + bp + (t if t > 0 else 0), d - ep, c + dm + (u if u < 0 else 0), b + ep
+        else:
+            e = a + bm - c - dp
+            t, u, em = dp + e, bm - e, (e if e < 0 else 0)
+            x[j:j + 4] = a - bp - (t if t > 0 else 0), d + em, c - dm - (u if u < 0 else 0), b - em
+    return x == start
+
+
+def is_trivial(word: BraidWord) -> bool:
     """Decide whether the word represents the identity braid.
 
-    The fast path is handle reduction.  The cross-check folds the word's
-    free reduction into the images of the generators it moves
-    (``_action_images``) and raises WordProblemMismatch if the action's
-    verdict disagrees.  With ``oracle=True`` it always runs: it folds only
-    the strands the reduction touches and never gives up.  The default runs
-    it for words of at most ORACLE_AUTO_LIMIT letters, abandoning it (fast
-    path only) if the images under a suffix of the free reduction outgrow an
-    internal budget.  ``oracle=False`` skips it.
+    Handle reduction decides every word, of any length, and the action on
+    Dynnikov coordinates checks it: WordProblemMismatch is raised if the
+    two verdicts differ.  No word skips the check.
     """
     fast = len(handle_reduce(word)) == 0
-    if not (oracle or (oracle is None and len(word.letters) <= ORACLE_AUTO_LIMIT)):
-        return fast
-    images = _action_images(word, None if oracle else _ORACLE_SIZE_BUDGET)
-    if images is not None:
-        _require_agreement(fast, all(w == [i] for i, w in enumerate(images, start=1)), word)
+    _require_agreement(fast, _dynnikov_trivial(word.letters), word, "Dynnikov coordinates")
     return fast
 
 
-def _require_agreement(fast: bool, slow: bool, word: BraidWord) -> None:
+def _require_agreement(fast: bool, slow: bool, word: BraidWord, route: str) -> None:
     if slow != fast:
         raise WordProblemMismatch(
-            f"handle reduction says trivial={fast} but the free-group action says trivial={slow} "
+            f"handle reduction says trivial={fast} but {route} says trivial={slow} "
             f"for {format_braid_word(word)}"
         )
 
 
-def equal(w1: BraidWord, w2: BraidWord, *, oracle: bool | None = None) -> bool:
-    """True iff the two words represent the same braid."""
+def equal(w1: BraidWord, w2: BraidWord) -> bool:
+    """True iff the two words represent the same braid: w1 w2^-1 is trivial."""
     if w1.n != w2.n:
         raise ValueError(f"strand count mismatch: {w1.n} vs {w2.n}")
-    return is_trivial(w1 * w2.inverse(), oracle=oracle)
+    return is_trivial(w1 * w2.inverse())
 
 
 def mirror(word: BraidWord) -> BraidWord:

@@ -46,8 +46,9 @@ def _random_word(rng: random.Random, n: int, max_len: int, min_len: int = 1) -> 
 # -- pinned checks ---------------------------------------------------------
 
 def _check_word_problem(seed: int) -> Outcome:
-    """Both routes on every 3-strand word of length <= 8 and on 1000 random
-    5-strand words; a disagreement raises WordProblemMismatch.
+    """Handle reduction against the free-group action on every 3-strand
+    word of length <= 8 and on 1000 random 5-strand words; a disagreement
+    raises WordProblemMismatch.
 
     The exhaustive words are walked as a suffix tree, which carries each
     word's free-group images and, apart from them, its free reduction,
@@ -77,10 +78,12 @@ def _check_word_problem(seed: int) -> Outcome:
                 verdicts[reduced] = fast
         slow = images == identity
         if fast != slow:
-            braid._require_agreement(fast, slow, braid.BraidWord(3, letters))
+            braid._require_agreement(fast, slow, braid.BraidWord(3, letters), "the free-group action")
         checked += 1
     for _ in range(1000):
-        braid.is_trivial(_random_word(rng, 5, 16), oracle=True)
+        word = _random_word(rng, 5, 16)
+        fast = not braid._handle_reduce_letters(word.letters)
+        braid._require_agreement(fast, braid.artin_action(word).is_identity(), word, "the free-group action")
         checked += 1
     return True, f"{checked} words, both routes agree"
 
@@ -220,7 +223,7 @@ def _check_cabling_homomorphism(seed: int) -> Outcome:
         sigma, mus = braid.wreath_multiply(left, right)
         of_product = braid.cable(q, k, sigma, mus)
         product_of = braid.cable(q, k, *left) * braid.cable(q, k, *right)
-        if not braid.equal(of_product, product_of, oracle=True):
+        if not braid.equal(of_product, product_of):
             return False, f"trial {trial}: cable of product differs from product of cables"
     return True, "200 random pairs with q <= 3, k <= 2"
 

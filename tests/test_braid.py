@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import time
 
 import pytest
 
@@ -143,6 +144,19 @@ def test_sign_does_not_change_permutation():
 
 # -- the free group action ------------------------------------------------------
 
+def _apply(endo: FreeGroupEndo, word) -> tuple[int, ...]:
+    """Image of a free-group word under ``endo``, freely reduced."""
+    out: list[int] = []
+    for x in word:
+        image = endo.images[x - 1] if x > 0 else [-y for y in reversed(endo.images[-x - 1])]
+        for y in image:
+            if out and out[-1] == -y:
+                out.pop()
+            else:
+                out.append(y)
+    return tuple(out)
+
+
 def test_action_on_generators():
     # first strand generator: x1 -> x1 x2 x1^-1, x2 -> x1
     endo = artin_action(w("b2: s1"))
@@ -150,7 +164,7 @@ def test_action_on_generators():
     inv = artin_action(w("b2: s1^-1"))
     assert inv.images == ((2,), (-2, 1, 2))
     # the two compose back to the identity
-    assert all(endo.apply(img) == (i,) for i, img in enumerate(inv.images, start=1))
+    assert all(_apply(endo, img) == (i,) for i, img in enumerate(inv.images, start=1))
 
 
 def test_action_composes_with_concatenation():
@@ -160,7 +174,7 @@ def test_action_composes_with_concatenation():
         b = rand_word(rng, 4, rng.randint(0, 6))
         lhs = artin_action(a * b)
         composed = FreeGroupEndo(
-            4, tuple(artin_action(b).apply(img) for img in artin_action(a).images)
+            4, tuple(_apply(artin_action(b), img) for img in artin_action(a).images)
         )
         assert lhs == composed
 
@@ -206,63 +220,10 @@ def test_action_matches_left_to_right_substitution():
         assert artin_action(word).images == _substitution_action(word)
 
 
-def test_budgeted_action_gives_up_or_agrees():
-    rng = random.Random(42)
-    gave_up = 0
-    for _ in range(200):
-        word = rand_word(rng, rng.randint(2, 5), rng.randint(0, 24))
-        full = braid._action_images(word, None)
-        budgeted = braid._action_images(word, 40)
-        assert budgeted is None or budgeted == full
-        gave_up += budgeted is None
-    assert 0 < gave_up < 200
-
-
-def test_action_budget_counts_every_strand():
-    # only strands up to the free reduction's largest index + 1 are folded,
-    # but the budget still gives up exactly where folding that reduction
-    # on all n strands would
-    rng = random.Random(43)
-    for _ in range(200):
-        word = rand_word(rng, rng.randint(2, 9), rng.randint(0, 24))
-        reduced = braid._free_reduce(word.letters)
-        every_strand = braid._fold_letters([[i] for i in range(1, word.n + 1)], reduced, 40)
-        assert (braid._action_images(word, 40) is None) == (every_strand is None)
-    assert len(artin_action(BraidWord(10, (1, -2))).images) == 10
-
-
-def _with_cancellations(rng: random.Random, n: int) -> BraidWord:
-    """x y y^-1 z with x, y, z random: a word whose free reduction is shorter."""
-    x, y, z = (rand_word(rng, n, rng.randint(0, 12)) for _ in range(3))
-    return x * y * y.inverse() * z
-
-
-def test_budget_on_the_free_reduction_never_loosens_the_check():
-    # folding the free reduction gives up only where folding every letter as
-    # written would, and whenever it does not give up it reads the full images
-    rng = random.Random(44)
-    gave_up = recovered = 0
-    for _ in range(300):
-        n = rng.randint(2, 6)
-        word = _with_cancellations(rng, n)
-        as_written = braid._fold_letters([[i] for i in range(1, n + 1)], word.letters, 40)
-        budgeted = braid._action_images(word, 40)
-        if as_written is not None:
-            assert budgeted is not None, word
-        if budgeted is not None:
-            assert budgeted == braid._action_images(word, None), word
-        gave_up += budgeted is None
-        recovered += as_written is None and budgeted is not None
-    assert 0 < gave_up < 300
-    assert recovered > 0  # some words skipped as written are now checked
-
-
 def test_cancelling_pairs_do_not_skip_the_cross_check(monkeypatch):
-    # folded as written, x x^-1 outgrows the budget; its free reduction is
-    # empty, so the cross-check runs and catches a wrong fast path
+    # the free reduction of x x^-1 is empty, yet the cross-check still runs
+    # and catches a wrong fast path
     x = BraidWord(3, (1, -2) * 12)
-    assert braid._fold_letters([[1], [2], [3]], (x * x.inverse()).letters,
-                               braid._ORACLE_SIZE_BUDGET) is None
     monkeypatch.setattr(braid, "_handle_reduce_letters", lambda letters: [1])
     with pytest.raises(braid.WordProblemMismatch):
         is_trivial(x * x.inverse())
@@ -289,7 +250,7 @@ def test_suffix_walk_images_are_the_action():
 def test_suffix_walk_images_match_a_fold_from_scratch():
     walked = 0
     for letters, _, images in braid._suffix_walk(3, 8):
-        assert tuple(map(tuple, braid._fold_letters([[1], [2], [3]], letters, None))) == images, letters
+        assert tuple(map(tuple, braid._fold_letters([[1], [2], [3]], letters))) == images, letters
         walked += 1
     assert walked == 87_381
 
@@ -298,9 +259,9 @@ def test_suffix_walk_folds_each_distinct_step_once_per_walk(monkeypatch):
     real = braid._fold_letters
     calls = []
 
-    def counted(images, letters, budget):
+    def counted(images, letters):
         calls.append(letters)
-        return real(images, letters, budget)
+        return real(images, letters)
 
     monkeypatch.setattr(braid, "_fold_letters", counted)
     for walk in (1, 2):  # the step table lives for one walk: a second walk folds as many
@@ -444,47 +405,140 @@ def test_trivial_on_one_strand():
 
 
 def test_oracle_agreement_explicit():
+    # the checked answer agrees with the free-group oracle and with the
+    # Dynnikov route on its own
     rng = random.Random(9)
     for _ in range(50):
         word = rand_word(rng, 4, rng.randint(0, 10))
-        fast = is_trivial(word)
-        checked = is_trivial(word, oracle=True)
-        assert fast == checked
+        answer = is_trivial(word)
+        assert answer == artin_action(word).is_identity() == braid._dynnikov_trivial(word.letters)
 
 
 def test_oracle_flag_off_still_answers():
+    # there is no flag that turns the cross-check off: one policy answers
     word = w("b3: s1 s2^-1")
-    assert is_trivial(word, oracle=False) is False
+    assert is_trivial(word) is False
+    with pytest.raises(TypeError):
+        is_trivial(word, oracle=False)
+    with pytest.raises(TypeError):
+        equal(word, word, oracle=False)
 
 
 def test_explicit_oracle_cross_checks_long_words(monkeypatch):
-    # a broken action that moves every generator must be caught by
-    # oracle=True past ORACLE_AUTO_LIMIT, and never consulted otherwise
+    # a broken Dynnikov route that calls every word nontrivial is caught on
+    # a 100-letter word, through is_trivial and through equal
     calls = []
 
-    def every_generator_moved(word, budget):
-        calls.append(budget)
-        return [[-i] for i in range(1, word.n + 1)]
+    def every_word_nontrivial(letters):
+        calls.append(len(letters))
+        return False
 
-    monkeypatch.setattr(braid, "_action_images", every_generator_moved)
+    monkeypatch.setattr(braid, "_dynnikov_trivial", every_word_nontrivial)
     half = rand_word(random.Random(12), 5, 50)
     word = half * half.inverse()
-    assert len(word) == 100 > braid.ORACLE_AUTO_LIMIT
-    with pytest.raises(braid.WordProblemMismatch):
-        is_trivial(word, oracle=True)
-    with pytest.raises(braid.WordProblemMismatch):
-        equal(half, half, oracle=True)
-    assert calls == [None, None]
-    assert is_trivial(word) and is_trivial(word, oracle=False)
-    assert equal(half, half) and equal(half, half, oracle=False)
-    assert calls == [None, None]
+    assert len(word) == 100
+    with pytest.raises(braid.WordProblemMismatch, match="Dynnikov coordinates says trivial=False"):
+        is_trivial(word)
+    with pytest.raises(braid.WordProblemMismatch, match="Dynnikov coordinates says trivial=False"):
+        equal(half, half)
+    assert calls == [100, 100]
 
 
 def test_pseudo_anosov_power_fast():
-    # the action images grow exponentially here; the auto path must not stall
+    # the free-group images grow exponentially here; the check must not stall
     word = (w("b3: s1 s2^-1")) ** 16
     assert len(word) == 32
     assert not is_trivial(word)
+
+
+# -- Dynnikov coordinates ------------------------------------------------------------
+
+def test_dynnikov_agrees_with_the_walk_images():
+    identity = ((1,), (2,), (3,))
+    walked = 0
+    for letters, _, images in braid._suffix_walk(3, 8):
+        assert braid._dynnikov_trivial(letters) == (images == identity), letters
+        walked += 1
+    assert walked == 87_381
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_dynnikov_kills_the_defining_relations(n):
+    dyn = braid._dynnikov_trivial
+    for i in range(1, n):
+        assert dyn((i, -i)) and dyn((-i, i))
+        assert not dyn((i,)) and not dyn((i, i))
+        for j in range(i + 1, n):
+            if j == i + 1:
+                assert dyn((i, j, i, -j, -i, -j))
+            else:
+                assert dyn((i, j, -i, -j))
+
+
+def test_dynnikov_full_twist_is_central():
+    rng = random.Random(15)
+    for n in (3, 4, 5, 6):
+        delta = [i for k in range(n - 1, 0, -1) for i in range(1, k + 1)]
+        full_twist = BraidWord(n, tuple(delta * 2))
+        assert not braid._dynnikov_trivial(full_twist.letters)
+        for _ in range(20):
+            x = rand_word(rng, n, rng.randint(0, 20))
+            commutator = full_twist * x * full_twist.inverse() * x.inverse()
+            assert braid._dynnikov_trivial(commutator.letters)
+
+
+def test_dynnikov_separates_a_commutator_of_squares():
+    # s1^2 and s2^2 generate a free group, so their commutator is nontrivial
+    assert not braid._dynnikov_trivial((1, 1, 2, 2, -1, -1, -2, -2))
+    assert not is_trivial(w("b3: s1 s1 s2 s2 s1^-1 s1^-1 s2^-1 s2^-1"))
+
+
+@pytest.mark.parametrize("length", [64, 200, 800, 6400])
+def test_no_word_skips_its_cross_check(monkeypatch, length):
+    real = braid._dynnikov_trivial
+    calls = []
+
+    def counted(letters):
+        calls.append(len(letters))
+        return real(letters)
+
+    monkeypatch.setattr(braid, "_dynnikov_trivial", counted)
+    x = rand_word(random.Random(length), 5, length // 2)
+    assert is_trivial(x * x.inverse())
+    assert calls == [length]
+    assert equal(x, x)
+    assert calls == [length, length]
+    y = BraidWord(5, (1, -2) * (length // 2))  # y and y y have no handle
+    assert not is_trivial(y)
+    assert not equal(y, y.inverse())
+    assert calls == [length, length, length, 2 * length]
+
+
+def test_long_pseudo_anosov_words_run_both_routes_quickly(monkeypatch):
+    # the free-group images of (s1 s2^-1)^k have exponential length; its
+    # Dynnikov coordinates have linear bit length
+    ran = []
+
+    def recorded(name):
+        real = getattr(braid, name)
+
+        def route(letters):
+            ran.append(name)
+            return real(letters)
+        return route
+
+    for name in ("_handle_reduce_letters", "_dynnikov_trivial"):
+        monkeypatch.setattr(braid, name, recorded(name))
+    x = BraidWord(3, (1, -2) * 4000)
+    started = time.perf_counter()
+    assert not is_trivial(x)
+    assert time.perf_counter() - started < 1.0
+    assert ran == ["_handle_reduce_letters", "_dynnikov_trivial"]
+    x = BraidWord(3, (1, -2) * 5000)
+    started = time.perf_counter()
+    assert equal(x, x)
+    assert time.perf_counter() - started < 1.0
+    assert ran == ["_handle_reduce_letters", "_dynnikov_trivial"] * 2
 
 
 def test_equal_respects_strand_count():
@@ -546,7 +600,7 @@ def test_cable_is_multiplicative():
         mus2 = tuple(rand_word(rng, k, rng.randint(0, 2)) for _ in range(q))
         sigma, mus = wreath_multiply((s1, mus1), (s2, mus2))
         lhs = cable(q, k, s1, mus1) * cable(q, k, s2, mus2)
-        assert equal(lhs, cable(q, k, sigma, mus), oracle=True)
+        assert equal(lhs, cable(q, k, sigma, mus))
 
 
 def test_wreath_multiply_twists_by_the_first_permutation():

@@ -211,12 +211,13 @@ def test_deeply_nested_blocks_exit_2(capsys):
 
 
 def test_word_problem_mismatch_exits_3(capsys, monkeypatch):
-    # the oracle claims every word acts nontrivially, so a trivial word disagrees
-    monkeypatch.setattr(braid, "_action_images", lambda word, budget: [[-i] for i in range(1, word.n + 1)])
+    # the Dynnikov route claims every word is nontrivial, so a trivial word disagrees
+    monkeypatch.setattr(braid, "_dynnikov_trivial", lambda letters: False)
     code, out, err = run(capsys, "braid", "trivial", "b3: s1 s1^-1")
     assert code == 3
     assert out == ""
     assert err.startswith("error: handle reduction says trivial=True")
+    assert "Dynnikov coordinates says trivial=False" in err
 
 
 def test_handle_step_budget_exits_3(capsys, monkeypatch):
@@ -250,6 +251,19 @@ def test_deep_tile_in_a_fresh_interpreter():
     graph = json.loads(proc.stdout)
     assert graph["points"] == 40_000
     assert len(graph["edges"]) == 20_000
+
+
+@pytest.mark.parametrize("word", ["b3: s1 s1^-1", "b3: s3"], ids=["answer", "parse-error"])
+def test_module_form_runs_the_cli(word):
+    src = str(Path(braidtiles.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    package, module = (
+        subprocess.run([sys.executable, "-m", name, "braid", "trivial", word],
+                       capture_output=True, text=True, env=env, timeout=120)
+        for name in ("braidtiles", "braidtiles.cli")
+    )
+    assert (package.stdout, package.stderr, package.returncode) == (module.stdout, module.stderr, module.returncode)
+    assert package.returncode == (0 if word == "b3: s1 s1^-1" else 2)
 
 
 def test_hom_phi(capsys):
@@ -444,7 +458,7 @@ def test_oversized_strand_count_reduces_in_a_fresh_interpreter():
 
 
 def test_oversized_strand_count_empty_word_is_trivial_in_a_fresh_interpreter():
-    # the oracle folds only the strands up to the word's largest index + 1
+    # the cross-check keeps coordinates only up to the word's largest index
     proc = _run_under_a_memory_limit("-m", "braidtiles.cli", "braid", "trivial", "b1000000000000: e")
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout == "true\n"
@@ -452,11 +466,11 @@ def test_oversized_strand_count_empty_word_is_trivial_in_a_fresh_interpreter():
 
 
 def test_oversized_strand_count_explicit_oracle_in_a_fresh_interpreter():
-    # oracle=True folds the same strands as the default policy, and never gives up
+    # the library calls keep the CLI's policy and allocate nothing per strand
     proc = _run_under_a_memory_limit("-c", (
         "from braidtiles.braid import BraidWord, equal, is_trivial\n"
-        "print(is_trivial(BraidWord(10**12, ()), oracle=True))\n"
-        "print(equal(BraidWord(10**12, (1,)), BraidWord(10**12, (1,)), oracle=True))\n"
+        "print(is_trivial(BraidWord(10**12, ())))\n"
+        "print(equal(BraidWord(10**12, (1,)), BraidWord(10**12, (1,))))\n"
     ))
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout == "True\nTrue\n"
