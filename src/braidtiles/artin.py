@@ -10,8 +10,8 @@ generators renamed s1, s2, ...
 Nontriviality is certified through the Coxeter quotient (add e² = 1): the
 quotient kills information, so a word whose reflection image is not the
 identity is certainly nontrivial, while the identity image decides
-nothing.  The reflection representation is exact over the rationals since
-the only Coxeter labels arising from graphs are 2 and 3.
+nothing.  The reflection images are integer matrices: the only Coxeter
+labels arising from graphs are 2 and 3, so -2B(a_t, a_s) is 0 or 1.
 """
 
 from __future__ import annotations

@@ -83,6 +83,8 @@ def transvection(c: CurveClass) -> ExactMatrix:
 def braid_to_symplectic(g: int, word: BraidWord) -> ExactMatrix:
     """Symplectic image of a braid word on 2g strands: generator i goes to
     the transvection along the i-th chain class."""
+    if g < 1:
+        raise ValueError("genus must be >= 1")
     if word.n != 2 * g:
         raise ValueError(f"word is on {word.n} strands, genus {g} needs {2 * g}")
     classes = chain_classes(g)
@@ -259,6 +261,8 @@ def cabling_discrepancy(g: int, q: int, sigma: BraidWord, mus: Sequence[BraidWor
     The two agree when sigma is trivial and differ in general, which is the
     finite-level witness that cabling does not commute with taking
     homology blockwise."""
+    if g < 1:
+        raise ValueError("genus must be >= 1")
     if sigma.n != q:
         raise ValueError(f"sigma is on {sigma.n} strands, expected {q}")
     for i, mu in enumerate(mus):

@@ -21,6 +21,9 @@ keeps every tree's chords nested rather than crossing; the braid-group
 image of the resulting Artin generators depends on that.  Wires out of D
 carry no point, so the consumer's would-be edge end dies with them, and
 edge ends facing an unglued boundary interval are kept as half-edges.
+The sweep depends only on the diagram, not on how its atoms are
+numbered, so the graph is built in that one post-order pass straight from
+an expression's diagram, with no normal form in between.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .artin import Presentation, presentation_from_graph
 from .graphs import HalfEdge, MarkedGraph
@@ -427,69 +430,43 @@ def to_expression(nf: TileNormalForm) -> TileExpr:
 
 # -- marked points and graphs -------------------------------------------
 
-def _point_labels(tags: Sequence[str], inputs: Sequence[Sequence[Ref]], outputs: Sequence[Ref]) -> list[range]:
-    """Labels 1..k of each node's marked points, numbered in post-order
-    along the output sweep: a producer's points come before the
-    consumer's own.  Keeps the chord diagram of any tree non-crossing."""
-    labels = [range(0)] * len(tags)
-    count = 0
-    for r in _sweep(inputs, outputs)[1]:
-        k = _POINTS[tags[r]]
-        labels[r] = range(count + 1, count + 1 + k)
-        count += k
-    return labels
-
-
 def _graph_of(tags: Sequence[str], inputs: Sequence[Sequence[Ref]], outputs: Sequence[Ref]) -> MarkedGraph:
-    # F and P anchor incoming edge ends on their first point and the
-    # outgoing end on their last; D has no point, so a wire out of D
-    # carries no edge and the consumer's end dies with it
-    labels = _point_labels(tags, inputs, outputs)
+    """One post-order pass of the output sweep labels each node's points
+    and emits its edges and half-edges.  A producer is finished before its
+    consumer, so its points are labelled when the consumer's wire needs
+    them, whatever the node numbering.  F and P anchor incoming edge ends
+    on their first point and the outgoing end on their last; D has no
+    point, so a wire out of D carries no edge and the consumer's end dies
+    with it."""
+    last = [0] * len(tags)  # each node's last point label; D keeps 0
+    count = 0
     edges: list[tuple[int, int]] = []
     halves: list[HalfEdge] = []
-    for r, tag in enumerate(tags):
+    for r in _sweep(inputs, outputs)[1]:
+        tag, first = tags[r], count + 1
+        if tag == "D":  # no inputs, no points
+            continue
+        count = last[r] = count + _POINTS[tag]
         if tag == "F":
-            edges.append((labels[r][0], labels[r][1]))
+            edges.append((first, count))
         for kind, i in inputs[r]:
-            consumer = labels[r][0]
             if kind == "in":
-                halves.append(HalfEdge(consumer, "in", i + 1))
-            elif labels[i]:
-                producer = labels[i][-1]
-                edges.append((min(producer, consumer), max(producer, consumer)))
+                halves.append(HalfEdge(first, "in", i + 1))
+            elif last[i]:
+                edges.append((last[i], first))
     for o, (kind, i) in enumerate(outputs):
-        if kind == "node" and labels[i]:
-            halves.append(HalfEdge(labels[i][-1], "out", o + 1))
-    return MarkedGraph(sum(map(len, labels)), tuple(edges), tuple(halves))
-
-
-def _shifted_edges(edges: Sequence[tuple[int, int]], points: int) -> tuple[tuple[int, int], ...]:
-    return tuple((a + points, b + points) for a, b in edges)
-
-
-def _union_graph(parts: Iterable[tuple[MarkedGraph, int, int]]) -> MarkedGraph:
-    """Marked graph of a side-by-side union, from the graph, dom and cod of
-    each part, left to right.  Union glues no wire, so each part keeps its
-    edges and half-edges: its points shift by the points before it, its
-    ``in`` intervals by the doms before it and its ``out`` intervals by the
-    cods before it."""
-    points = dom = cod = 0
-    edges: list[tuple[int, int]] = []
-    halves: list[HalfEdge] = []
-    for g, part_dom, part_cod in parts:
-        edges += _shifted_edges(g.edges, points)
-        halves += (HalfEdge(h.point + points, h.side, h.interval + (dom if h.side == "in" else cod))
-                   for h in g.half_edges)
-        points, dom, cod = points + g.points, dom + part_dom, cod + part_cod
-    return MarkedGraph(points, tuple(edges), tuple(halves))
+        if kind == "node" and last[i]:
+            halves.append(HalfEdge(last[i], "out", o + 1))
+    return MarkedGraph(count, tuple(edges), tuple(halves))
 
 
 def marked_graph_of(tile: TileExpr | TileNormalForm) -> MarkedGraph:
     """The tile's marked graph: points in the package's planar order, edges
     from F's internal join and from glued wires, half-edges at the
-    boundary.  Always a forest with maximum degree 3."""
-    nf = tile if isinstance(tile, TileNormalForm) else normal_form(tile)
-    return _graph_of(nf.tags, nf.inputs, nf.outputs)
+    boundary.  Always a forest with maximum degree 3.  An expression's
+    graph is read off its diagram as drawn, with no normal form built."""
+    d = tile if isinstance(tile, TileNormalForm) else _diagram(tile)
+    return _graph_of(d.tags, d.inputs, d.outputs)
 
 
 def marked_point_count(tile: TileExpr | TileNormalForm) -> int:

@@ -113,34 +113,29 @@ def _distinct_graphs(max_atoms: int) -> list[MarkedGraph]:
     """The distinct marked graphs of ``tiles.enumerate_tiles(max_atoms)`` in
     that order, each with the half-edges of the first tile that draws it.
 
-    Those tiles are the ordered forests of trees, and a forest's graph is
-    its trees' graphs side by side (``tiles._union_graph``).  So each tree's
-    graph is built once, and the forest walk of ``enumerate_tiles``
-    (``tiles._forests``) folds each forest's point count, edges and parts.
-    The trees' edges are sorted and shift into disjoint ascending ranges, so
-    the folded edges are already the sorted edges a ``MarkedGraph`` would
-    hold, and only a new (points, edges) key builds one."""
-    # The 993 trees of at most 5 atoms hold only 33 distinct edges and 53
-    # distinct half-edges, so each graph is rebuilt on one shared copy of each.
-    shared: dict = {}
-
+    Those tiles are the ordered forests of trees, and a forest's points and
+    edges are its trees' side by side.  So each tree's graph is built once,
+    and the forest walk of ``enumerate_tiles`` (``tiles._forests``) folds
+    each forest's point count, edges and trees.  The trees' edges are
+    sorted and shift into disjoint ascending ranges, so the folded edges
+    are already the sorted edges a ``MarkedGraph`` would hold, and only a
+    forest with a new (points, edges) key has its graph built, from the
+    union of its trees."""
     def tree_value(t: tiles.TileExpr) -> tuple:
         g = tiles.marked_graph_of(t)
-        g = MarkedGraph(g.points, tuple(map(shared.setdefault, g.edges, g.edges)),
-                        tuple(map(shared.setdefault, g.half_edges, g.half_edges)))
-        return g.points, g.edges, ((g, t.dom, 1),)
+        return g.points, g.edges, (t,)
 
     def join(forest: tuple, tree: tuple) -> tuple:
-        points, edges, parts = forest
-        return points + tree[0], edges + tiles._shifted_edges(tree[1], points), parts + tree[2]
+        points, edges, trees = forest
+        return points + tree[0], edges + tuple((a + points, b + points) for a, b in tree[1]), trees + tree[2]
 
     seen: set[tuple] = set()
     out: list[MarkedGraph] = []
     trees = [[tree_value(t) for t in group] for group in tiles.enumerate_trees(max_atoms)]
-    for points, edges, parts in tiles._forests(trees, join):
+    for points, edges, forest in tiles._forests(trees, join):
         if (points, edges) not in seen:
-            out.append(tiles._union_graph(parts))
-            seen.add((out[-1].points, out[-1].edges))  # an equal key sharing the graph's tuples
+            seen.add((points, edges))
+            out.append(tiles.marked_graph_of(tiles.disjoint_union(*forest)))
     return out
 
 

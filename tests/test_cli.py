@@ -416,6 +416,19 @@ def test_verify_random_bad_arguments_exit_2(capsys, flags, message):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("phi", "--genus", "0", "b2: s1"), ("discrepancy", "--genus", "0", "b1: e", "b2: s1")],
+    ids=["phi", "discrepancy"],
+)
+def test_hom_genus_below_1_exits_2_before_counting_strands(capsys, argv):
+    # a strand-count message would claim genus 0 "needs 0" strands
+    code, out, err = run(capsys, "hom", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: genus must be >= 1\n"
+
+
 def _run_under_a_memory_limit(*args):
     # Run only under an address-space limit: these inputs ask for about a
     # trillion list slots, and some paths would take them one at a time.

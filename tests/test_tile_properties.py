@@ -83,6 +83,9 @@ def test_normal_form_is_invariant_under_interchange(a, b):
     a_first = ComposeExpr(UnionExpr(a, identity(b.dom)), UnionExpr(identity(a.cod), b))
     b_first = ComposeExpr(UnionExpr(identity(a.dom), b), UnionExpr(a, identity(b.cod)))
     assert normal_form(a_first) == side_by_side == normal_form(b_first)
+    # the graph is read off each staging's own diagram, whatever its numbering
+    graph = marked_graph_of(normal_form(a_first))
+    assert marked_graph_of(a_first) == marked_graph_of(UnionExpr(a, b)) == marked_graph_of(b_first) == graph
 
 
 @PROPERTY

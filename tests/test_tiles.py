@@ -255,6 +255,7 @@ def test_marked_point_count_of_a_padded_expression_matches_its_graph():
         for padded in (disjoint_union(expr, identity(k % 4)),
                        compose(disjoint_union(pad, expr), identity(pad.cod + expr.cod))):
             assert marked_point_count(padded) == marked_graph_of(padded).points
+            assert marked_graph_of(padded) == marked_graph_of(normal_form(padded))
 
 
 def test_marked_point_count_of_a_deep_chain_needs_no_recursion():
@@ -285,30 +286,12 @@ def test_endomorphism_presentation_of_stacked_intervals():
 
 # -- functoriality of the graph assignment -------------------------------------------
 
-def _trees_of(forest):
-    """The trees of a left-nested union, left to right."""
-    trees = []
-    while isinstance(forest, tiles.UnionExpr):
-        trees.append(forest.right)
-        forest = forest.left
-    trees.append(forest)
-    return trees[::-1]
-
-
-def test_union_graph_is_the_graph_of_every_forest():
-    # the graph of a union is its parts' graphs side by side, shifted
-    for forest in enumerate_tiles(5):
-        parts = [(marked_graph_of(tree), tree.dom, tree.cod) for tree in _trees_of(forest)]
-        assert tiles._union_graph(parts) == marked_graph_of(forest)
-
-
 def test_union_graph_shifts_points_and_both_boundaries():
     # the second part comes after 3 points, 2 input and 1 output intervals
     left, right = t("(1_1 + F) ; P"), t("1_1 + F")
-    parts = [(marked_graph_of(x), x.dom, x.cod) for x in (left, right)]
     halves = ((1, "in", 2), (3, "in", 1), (3, "out", 1), (4, "in", 4), (5, "out", 3))
     expected = MarkedGraph(5, ((1, 2), (2, 3), (4, 5)), tuple(HalfEdge(*h) for h in halves))
-    assert tiles._union_graph(parts) == expected == marked_graph_of(disjoint_union(left, right))
+    assert marked_graph_of(disjoint_union(left, right)) == expected
 
 
 # -- enumeration -----------------------------------------------------------------------
