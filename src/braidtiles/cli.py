@@ -140,13 +140,12 @@ def _cmd_hom_phitile(args: argparse.Namespace) -> Result:
 
 def _cmd_hom_omega_gamma(args: argparse.Namespace) -> Result:
     sigma = braid.parse_braid_word(args.sigma)
-    if args.blocks is not None:
-        blocks = _json_arg(args.blocks)
-        if not isinstance(blocks, list):
-            raise ValueError("blocks must be a JSON list of matrices")
-        blocks = [ExactMatrix.from_json_obj(b) for b in blocks]
-    else:
-        blocks = [ExactMatrix.identity(2 * args.genus)] * sigma.n
+    if args.blocks is None:
+        return _shown(homs.block_permutation_image(sigma.n, args.genus, sigma))
+    blocks = _json_arg(args.blocks)
+    if not isinstance(blocks, list):
+        raise ValueError("blocks must be a JSON list of matrices")
+    blocks = [ExactMatrix.from_json_obj(b) for b in blocks]
     return _shown(homs.wreath_symplectic(sigma.n, args.genus, sigma, blocks))
 
 

@@ -227,7 +227,7 @@ class SymplecticForm:
 
     def __post_init__(self) -> None:
         if self.genus < 1:
-            raise ValueError("genus must be positive")
+            raise ValueError("genus must be >= 1")
 
     @property
     def dim(self) -> int:

@@ -418,11 +418,19 @@ def test_verify_random_bad_arguments_exit_2(capsys, flags, message):
 
 @pytest.mark.parametrize(
     "argv",
-    [("phi", "--genus", "0", "b2: s1"), ("discrepancy", "--genus", "0", "b1: e", "b2: s1")],
-    ids=["phi", "discrepancy"],
+    [
+        ("phi", "--genus", "0", "b2: s1"),
+        ("discrepancy", "--genus", "0", "b1: e", "b2: s1"),
+        ("phi1", "--genus", "0", "b2: s1"),
+        ("phi1", "--genus", "-1", "b2: s1"),
+        ("omega-gamma", "--genus", "0", "b2: s1"),
+        ("omega-gamma", "--genus", "-1", "b2: s1"),
+    ],
+    ids=["phi", "discrepancy", "phi1-0", "phi1-minus-1", "omega-gamma-0", "omega-gamma-minus-1"],
 )
 def test_hom_genus_below_1_exits_2_before_counting_strands(capsys, argv):
-    # a strand-count message would claim genus 0 "needs 0" strands
+    # a strand-count message would claim genus 0 "needs 0" strands, and a
+    # negative genus would ask for an identity block of negative size
     code, out, err = run(capsys, "hom", *argv)
     assert code == 2
     assert out == ""

@@ -1,11 +1,12 @@
 """The exhaustive word-problem gate still fails when either route is wrong,
-and the distinct tile graphs match the per-tile route."""
+the symplectic relation check fails when phi is wrong, and the distinct
+tile graphs match the per-tile route."""
 
 import re
 
 import pytest
 
-from braidtiles import braid, tiles, verify
+from braidtiles import braid, homs, tiles, verify
 
 # A nontrivial exhaustive 3-strand word (a conjugate of s1^-1).  Any such word
 # would do; this one comes early in the walk, so the failing run ends soon.
@@ -76,6 +77,36 @@ def test_gate_catches_a_corrupted_carried_reduction(monkeypatch):
 
     monkeypatch.setattr(braid, "_suffix_walk", corrupt_one_node)
     assert _mismatched_word(_word_problem_record()) == _WORD
+
+
+def _bend_chain_class_3(real):
+    """Chain class 3 replaced by class 3 + class 2."""
+    def bent(g):
+        classes = list(real(g))
+        classes[2] = homs.CurveClass(g, tuple(a + b for a, b in zip(classes[2].coords, classes[1].coords)))
+        return tuple(classes)
+    return bent
+
+
+def _square_each_transvection(real):
+    """d doubled: the square of each transvection, which is still symplectic."""
+    def squared(c):
+        u, d = real(c)
+        return u, tuple(2 * x for x in d)
+    return squared
+
+
+@pytest.mark.parametrize(
+    "name, wrong, details",
+    [
+        ("chain_classes", _bend_chain_class_3, "genus 2: relator 2: s1 s3 s1^-1 s3^-1"),
+        ("_transvection_factor", _square_each_transvection, "genus 2: relator 1: s1 s2 s1 s2^-1 s1^-1 s2^-1"),
+    ],
+    ids=["bent-chain-class", "squared-transvection"],
+)
+def test_symplectic_check_catches_a_wrong_phi(monkeypatch, name, wrong, details):
+    monkeypatch.setattr(homs, name, wrong(getattr(homs, name)))
+    assert verify._check_phi_well_defined() == (False, details)
 
 
 @pytest.mark.parametrize("max_atoms", range(1, 7))
