@@ -21,22 +21,8 @@ most linearly with the word.  ``is_trivial`` decides every word, of any length,
 by handle reduction, checks it with Dynnikov coordinates, and raises
 ``WordProblemMismatch`` if they ever disagree.
 
-The action folds letters in from the right, so the oracle images of l w
-are those of w plus one letter step, and so is the free reduction of l w:
-it drops the first letter of w's reduction when that letter is l^-1 and
-prepends l otherwise.  ``_suffix_walk`` uses both to give every word up to
-a length its images and its free reduction at one step per word, each
-carried apart from the other.  A letter step reads only the images a, b
-of the two generators it moves and the letter's sign, and words with the
-same free reduction share their images, so the walk keeps a table, for
-that walk only, from ``(a, b, sign)`` to the step's two new images and
-folds each distinct step once; the images are tuples, shared by the table
-and by every word that has them.  Handle reduction free-reduces its input
-before anything else, so its verdict on a word is its verdict on the
-word's free reduction; the exhaustive agreement gate in ``verify``
-therefore runs the kernel ``_handle_reduce_letters`` (which
-``handle_reduce`` wraps in a ``BraidWord``) once per distinct free
-reduction and checks every word's own images against that verdict.
+``_suffix_walk`` feeds every short word to the exhaustive agreement gate
+in ``verify`` at one letter step per word.
 """
 
 from __future__ import annotations
@@ -203,12 +189,13 @@ def _suffix_walk(
     each word is yielded once.
 
     The walk is depth first over the suffix tree: the children of w are
-    the words l w, so each word costs one letter step rather than one per
-    letter.  A child's images are its parent's with the two slots l moves
-    replaced, and its free reduction is its parent's with l pushed on the
-    front: ``reduced[1:]`` if ``reduced`` starts with -l, else
-    ``(l,) + reduced``.  Neither is computed from the other, so a route
-    that reads one stays independent of a route that reads the other.
+    the words l w.  The action folds letters in from the right, so each
+    word costs one letter step rather than one per letter.  A child's
+    images are its parent's with the two slots l moves replaced, and its
+    free reduction is its parent's with l pushed on the front:
+    ``reduced[1:]`` if ``reduced`` starts with -l, else ``(l,) + reduced``.
+    Neither is computed from the other, so a route that reads one stays
+    independent of a route that reads the other.
 
     A letter step reads only a, b (the images of x_i, x_{i+1}) and the
     sign of l, never i, and words with the same free reduction share their
@@ -290,7 +277,8 @@ def _reduce_handle(word: list[int], s: int, t: int) -> list[int]:
 
 def _handle_reduce_letters(letters: Sequence[int]) -> list[int]:
     """Letters of the fully handle-reduced word: rewrite the leftmost-closing
-    handle until none remains."""
+    handle until none remains.  The input is freely reduced first, so the
+    result for a word is the result for its free reduction."""
     letters = _free_reduce(letters)
     steps = 0
     while True:

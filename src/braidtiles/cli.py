@@ -9,8 +9,10 @@ every subcommand to a machine-readable object on stdout.
 Exit codes: 0 for answered queries and passing verification, 1 for a
 failing verification suite, 2 for usage, parse or input errors, 3 for an
 internal failure (the word-problem routes disagree, handle reduction
-exceeds its step budget, or an input is too large for memory, such as
-``tile tree '1_1000000000000'``).  Errors print ``error: ...`` on stderr.
+exceeds its step budget, or an allocation raises MemoryError).  Errors
+print ``error: ...`` on stderr.  ``tile tree '1_1000000000000'`` exits 3
+only under an address-space limit (``ulimit -v``); without one the
+operating system may kill the process before Python raises MemoryError.
 """
 
 from __future__ import annotations

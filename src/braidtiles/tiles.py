@@ -35,7 +35,6 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 from .artin import Presentation, presentation_from_graph
 from .graphs import HalfEdge, MarkedGraph
-from .linalg import json_field, json_int
 
 # ref into a diagram: ("in", i) is the 0-based global input i,
 # ("node", r) is the single output of atom instance r
@@ -253,31 +252,25 @@ def format_tile_expression(expr: TileExpr) -> str:
 
 # -- diagrams and normal form -------------------------------------------
 
-@dataclass
-class _Diagram:
-    """Concrete port graph of an expression; node ids index ``tags``."""
-
-    tags: list[str]
-    inputs: list[list[Ref]]
-    outputs: list[Ref]
-
-
-def _diagram(expr: TileExpr) -> _Diagram:
-    """Atoms numbered left to right.  Each job reads its inputs from
-    ``src[at:at + dom]`` and appends its outputs to ``out``; a gluing's
-    first part writes a fresh list that its second part reads."""
+def _diagram(expr: TileExpr) -> tuple[list[str], list[list[Ref]], list[Ref]]:
+    """Concrete port graph of an expression as ``(tags, inputs, outputs)``,
+    atoms numbered left to right (node ids index ``tags``).  Each job reads
+    its inputs from ``src[at:at + dom]`` and appends its outputs to ``out``;
+    a gluing's first part writes a fresh list that its second part reads."""
     if not isinstance(expr, TileExpr):
         raise TypeError(f"not a tile expression: {expr!r}")
-    d = _Diagram([], [], [])
+    tags: list[str] = []
+    inputs: list[list[Ref]] = []
+    outputs: list[Ref] = []
     stack: list[tuple[TileExpr, list[Ref], int, list[Ref]]] = [
-        (expr, [("in", i) for i in range(expr.dom)], 0, d.outputs)
+        (expr, [("in", i) for i in range(expr.dom)], 0, outputs)
     ]
     while stack:
         e, src, at, out = stack.pop()
         if isinstance(e, AtomExpr):
-            d.inputs.append(src[at:at + e.dom])
-            out.append(("node", len(d.tags)))
-            d.tags.append(e.tag)
+            inputs.append(src[at:at + e.dom])
+            out.append(("node", len(tags)))
+            tags.append(e.tag)
         elif isinstance(e, IdentityExpr):
             out += src[at:at + e.width]
         elif isinstance(e, UnionExpr):
@@ -289,7 +282,7 @@ def _diagram(expr: TileExpr) -> _Diagram:
             stack.append((e.first, src, at, mid))
         else:
             raise TypeError(f"not a tile expression: {e!r}")
-    return d
+    return tags, inputs, outputs
 
 
 def _sweep(inputs: Sequence[Sequence[Ref]], outputs: Sequence[Ref]) -> tuple[list[int], list[int]]:
@@ -335,48 +328,13 @@ class TileNormalForm:
             "outputs": [list(r) for r in self.outputs],
         }
 
-    @staticmethod
-    def from_json_obj(obj: dict) -> "TileNormalForm":
-        """Inverse of ``to_json_obj``.  A bad shape, tag or arity, a ref out of
-        range, an input or atom output not read exactly once, or a numbering
-        that is not canonical raises a ValueError naming the field."""
-        if not isinstance(obj, dict):
-            raise ValueError("tile normal form JSON must be an object with 'dom', 'cod', 'nodes' and 'outputs'")
-        kind, read = "tile normal form", []
-
-        def refs(pairs: Sequence) -> tuple[Ref, ...]:
-            out = tuple((k, json_int(i)) for k, i in pairs)
-            read.extend(out)
-            return out
-
-        with json_field(kind, "dom"):
-            dom = json_int(obj["dom"])
-        with json_field(kind, "cod"):
-            cod = json_int(obj["cod"])
-        with json_field(kind, "nodes"):
-            tags = tuple(n["tag"] for n in obj["nodes"])
-            inputs = tuple(refs(n["inputs"]) for n in obj["nodes"])
-            for tag, ins in zip(tags, inputs):
-                if tag not in _ARITY or len(ins) != _ARITY[tag][0]:
-                    raise ValueError(f"atom {tag!r} with {len(ins)} inputs; atoms are D, P, F with 0, 2, 1")
-        with json_field(kind, "outputs"):
-            outputs = refs(obj["outputs"])
-        nf = TileNormalForm(dom, cod, tags, inputs, outputs)
-        with json_field(kind, "nodes"):
-            if len(read) != dom + len(tags) or sorted(read) != (
-                    [("in", i) for i in range(dom)] + [("node", r) for r in range(len(tags))]):
-                raise ValueError("each input and atom output needs exactly one ref ['in', i] or ['node', r]")
-            if normal_form(to_expression(nf)) != nf:
-                raise ValueError("the atoms, wires or counts are not those of the canonical form")
-        return nf
-
     def __str__(self) -> str:
         return format_tile_expression(to_expression(self))
 
 
 def normal_form(expr: TileExpr) -> TileNormalForm:
-    d = _diagram(expr)
-    order = _sweep(d.inputs, d.outputs)[0]
+    tags, inputs, outputs = _diagram(expr)
+    order = _sweep(inputs, outputs)[0]
     rank = [0] * len(order)
     for r, j in enumerate(order):
         rank[j] = r
@@ -387,9 +345,9 @@ def normal_form(expr: TileExpr) -> TileNormalForm:
     return TileNormalForm(
         expr.dom,
         expr.cod,
-        tuple(d.tags[j] for j in order),
-        tuple(tuple(remap(r) for r in d.inputs[j]) for j in order),
-        tuple(remap(r) for r in d.outputs),
+        tuple(tags[j] for j in order),
+        tuple(tuple(remap(r) for r in inputs[j]) for j in order),
+        tuple(remap(r) for r in outputs),
     )
 
 
@@ -465,20 +423,20 @@ def marked_graph_of(tile: TileExpr | TileNormalForm) -> MarkedGraph:
     from F's internal join and from glued wires, half-edges at the
     boundary.  Always a forest with maximum degree 3.  An expression's
     graph is read off its diagram as drawn, with no normal form built."""
-    d = tile if isinstance(tile, TileNormalForm) else _diagram(tile)
-    return _graph_of(d.tags, d.inputs, d.outputs)
+    if isinstance(tile, TileNormalForm):
+        return _graph_of(tile.tags, tile.inputs, tile.outputs)
+    return _graph_of(*_diagram(tile))
 
 
-def marked_point_count(tile: TileExpr | TileNormalForm) -> int:
+def marked_point_count(tile: TileExpr) -> int:
     """Number of marked points; the braid group on this many strands is the
     tile's endomorphism group after completion (half twists around edges
     generate only a subgroup in general).
 
-    The normal form keeps exactly the expression's atoms, so an expression
-    is counted by walking it, with no diagram built: the cost follows its
-    terms, never an identity's width, and its depth needs no recursion."""
-    if isinstance(tile, TileNormalForm):
-        return sum(_POINTS[t] for t in tile.tags)
+    Each atom of the expression is one atom of its diagram, so the
+    expression is counted by walking it, with no diagram built: the cost
+    follows its terms, never an identity's width, and its depth needs no
+    recursion."""
     count = 0
     stack = [tile]
     while stack:

@@ -50,21 +50,15 @@ def _check_word_problem(seed: int) -> Outcome:
     word of length <= 8 and on 1000 random 5-strand words; a disagreement
     raises WordProblemMismatch.
 
-    The exhaustive words are walked as a suffix tree, which carries each
-    word's free-group images and, apart from them, its free reduction,
-    each one letter step from its parent's.  The images are tuples of
-    tuples, and the walk folds each distinct step once (3,230 of the
-    87,380 steps at depth 8), so words with equal images share them; each
-    word still gets its own images, and its oracle verdict is
-    ``images == identity``.  Handle reduction free-reduces its input
-    first, so its verdict on a word is its verdict on the word's free
-    reduction: the kernel runs once per distinct free reduction (13,121 at
-    depth 8), and every word's oracle verdict is still read off its own
-    images.  Only reductions of at most depth - 2 letters are remembered:
-    a word that is not freely reduced loses at least two letters, so a
-    longer reduction is a freely reduced word, which the walk meets
-    exactly once.  A ``BraidWord`` is built only to name a word on which
-    the routes disagree."""
+    ``braid._suffix_walk`` gives each exhaustive word its own images, and
+    its oracle verdict is ``images == identity``.  Handle reduction's
+    verdict on a word is its verdict on the free reduction the walk
+    carries, so the kernel runs once per distinct free reduction (13,121
+    at depth 8).  Only reductions of at most depth - 2 letters are
+    remembered: a word that is not freely reduced loses at least two
+    letters, so a longer reduction is a freely reduced word, which the
+    walk meets exactly once.  A ``BraidWord`` is built only to name a word
+    on which the routes disagree."""
     rng = random.Random(seed)
     depth = 8
     identity = ((1,), (2,), (3,))
@@ -110,32 +104,28 @@ def _check_tau_relation() -> Outcome:
 
 
 def _distinct_graphs(max_atoms: int) -> list[MarkedGraph]:
-    """The distinct marked graphs of ``tiles.enumerate_tiles(max_atoms)`` in
-    that order, each with the half-edges of the first tile that draws it.
+    """The distinct marked graphs of ``tiles.enumerate_tiles(max_atoms)``,
+    points and edges only, in the order their first tiles come.  Both
+    consumers read only the full edges, so no half-edge is kept.
 
     Those tiles are the ordered forests of trees, and a forest's points and
     edges are its trees' side by side.  So each tree's graph is built once,
     and the forest walk of ``enumerate_tiles`` (``tiles._forests``) folds
-    each forest's point count, edges and trees.  The trees' edges are
-    sorted and shift into disjoint ascending ranges, so the folded edges
-    are already the sorted edges a ``MarkedGraph`` would hold, and only a
-    forest with a new (points, edges) key has its graph built, from the
-    union of its trees."""
-    def tree_value(t: tiles.TileExpr) -> tuple:
-        g = tiles.marked_graph_of(t)
-        return g.points, g.edges, (t,)
-
+    each forest's point count and edges.  The trees' edges are sorted and
+    shift into disjoint ascending ranges, so a folded key is already the
+    ``(points, edges)`` of the forest's graph."""
     def join(forest: tuple, tree: tuple) -> tuple:
-        points, edges, trees = forest
-        return points + tree[0], edges + tuple((a + points, b + points) for a, b in tree[1]), trees + tree[2]
+        points, edges = forest
+        return points + tree[0], edges + tuple((a + points, b + points) for a, b in tree[1])
 
     seen: set[tuple] = set()
     out: list[MarkedGraph] = []
-    trees = [[tree_value(t) for t in group] for group in tiles.enumerate_trees(max_atoms)]
-    for points, edges, forest in tiles._forests(trees, join):
-        if (points, edges) not in seen:
-            seen.add((points, edges))
-            out.append(tiles.marked_graph_of(tiles.disjoint_union(*forest)))
+    trees = [[(g.points, g.edges) for g in map(tiles.marked_graph_of, group)]
+             for group in tiles.enumerate_trees(max_atoms)]
+    for key in tiles._forests(trees, join):
+        if key not in seen:
+            seen.add(key)
+            out.append(MarkedGraph(*key))
     return out
 
 

@@ -182,11 +182,16 @@ def test_artin_unknown_generator_exits_2(capsys):
         ("artin", "abelianize", "--presentation", '{"generators": "ab", "relators": []}'),
         ("artin", "abelianize", "--presentation", '{"generators": [1, 1.5], "relators": []}'),
         ("artin", "abelianize", "--presentation", '{"generators": {"a": 1}, "relators": {}}'),
+        ("artin", "abelianize", "--graph", '{"points": -1}'),
+        ("artin", "abelianize", "--graph", '{"points": 3, "half_edges": [{"point": 9, "side": "in", "interval": 1}]}'),
+        ("hom", "omega-gamma", "--genus", "1", "b1: e", "{}"),
+        ("braid", "trivial", "b3: e s1"),
     ],
     ids=["not-json", "graph-empty-object", "graph-list", "graph-infinite-points", "presentation-empty-object",
          "blocks-not-matrices", "blocks-zero-denominator", "graph-bool-points", "graph-string-points",
          "graph-float-edge-end", "presentation-float-letter", "presentation-string-generators",
-         "presentation-number-generators", "presentation-object-fields"],
+         "presentation-number-generators", "presentation-object-fields", "graph-negative-points",
+         "graph-half-edge-out-of-range", "blocks-not-a-list", "letter-after-e"],
 )
 def test_artin_bad_graph_json_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -223,6 +223,10 @@ def test_edge_rep_validation():
         EdgeTransvectionRep(((1, 2), (2, 3)), ExactMatrix.identity(2))
     with pytest.raises(ValueError):
         EdgeTransvectionRep(((1, 2), (2, 3)), ExactMatrix.from_rows([[0, 0], [0, 0]]))
+    with pytest.raises(ValueError, match="non-adjacent edges 1,2 must pair to 0"):
+        EdgeTransvectionRep(((1, 2), (3, 4)), ExactMatrix.from_rows([[0, 1], [-1, 0]]))
+    with pytest.raises(ValueError, match="edge index 9 outside 1..2"):
+        edge_transvection_image(graph, (9,))
 
 
 def _full_edges(graph):

@@ -9,7 +9,6 @@ from braidtiles.tiles import (
     D,
     F,
     P,
-    TileNormalForm,
     TileParseError,
     UnionExpr,
     compose,
@@ -131,46 +130,6 @@ def test_normal_form_round_trips_through_expression():
     for expr in rng.sample(pool, 40):
         nf = normal_form(expr)
         assert normal_form(to_expression(nf)) == nf
-
-
-def test_normal_form_json_round_trip():
-    nf = normal_form(t(WITNESS_TILE))
-    assert TileNormalForm.from_json_obj(nf.to_json_obj()) == nf
-    for expr in enumerate_tiles(4):
-        nf = normal_form(disjoint_union(identity(1), expr, identity(2)))
-        assert TileNormalForm.from_json_obj(nf.to_json_obj()) == nf
-
-
-def _nf_json(dom, cod, nodes, outputs):
-    return {"dom": dom, "cod": cod, "nodes": [{"tag": t, "inputs": i} for t, i in nodes], "outputs": outputs}
-
-
-@pytest.mark.parametrize(
-    "obj, field",
-    [
-        ([], None),
-        ({"dom": 0, "cod": 1, "nodes": [{"tag": "D", "inputs": []}]}, "outputs"),
-        (_nf_json(True, 1, [], [["in", 0]]), "dom"),
-        (_nf_json(-1, 0, [], []), "nodes"),
-        (_nf_json(0, 1, [("X", [])], [["node", 0]]), "nodes"),
-        (_nf_json(0, 1, [("F", [])], [["node", 0]]), "nodes"),
-        (_nf_json(0, 1, [("D", [])], [["nod", 0]]), "nodes"),
-        (_nf_json(0, 2, [("D", [])], [["node", 0], ["node", 0]]), "nodes"),
-        (_nf_json(0, 1, [("D", [])], [["node", 5]]), "nodes"),
-        (_nf_json(1, 1, [("D", [])], [["node", 0]]), "nodes"),
-        (_nf_json(0, 2, [("D", [])], [["node", 0]]), "nodes"),
-        (_nf_json(0, 0, [("F", [["node", 0]])], []), "nodes"),
-        (_nf_json(0, 2, [("D", []), ("D", [])], [["node", 1], ["node", 0]]), "nodes"),
-        (_nf_json(2, 1, [("P", [["in", 1], ["in", 0]])], [["node", 0]]), "nodes"),
-    ],
-    ids=["list", "missing-key", "bool-dom", "negative-dom", "unknown-tag", "arity", "bad-ref-kind",
-         "output-read-twice", "ref-out-of-range", "input-never-read", "cod-mismatch", "self-loop",
-         "non-canonical-numbering", "crossed-inputs"],
-)
-def test_normal_form_json_rejects_what_no_expression_draws(obj, field):
-    with pytest.raises(ValueError) as info:
-        TileNormalForm.from_json_obj(obj)
-    assert field is None or f"field {field!r}" in str(info.value)
 
 
 def test_interchange_frozen():
@@ -387,4 +346,4 @@ def test_deep_inputs_through_the_library(text, formatted, nf_text, points, edges
     assert format_tile_expression(expr) == formatted
     assert str(nf) == nf_text
     assert (graph.points, len(graph.edges), len(graph.half_edges)) == (points, edges, halves)
-    assert marked_point_count(nf) == points
+    assert marked_point_count(expr) == points
