@@ -17,9 +17,11 @@ lowest-index generator, and the latter kind is never trivial, so
 emptiness decides.  The cross-check is the faithful action on Dynnikov
 coordinates of laminations of the punctured disk: one exact, piecewise
 linear update of four integers per letter, and their bit length grows at
-most linearly with the word.  ``is_trivial`` decides every word, of any length,
-by handle reduction, checks it with Dynnikov coordinates, and raises
-``WordProblemMismatch`` if they ever disagree.
+most linearly with the word.  It lays out coordinates only for the
+indices the word uses, so it too allocates by letters, never by strands.
+``is_trivial`` decides every word, of any length, by handle reduction,
+checks it with Dynnikov coordinates, and raises ``WordProblemMismatch``
+if they ever disagree.
 
 ``_suffix_walk`` feeds every short word to the exhaustive agreement gate
 in ``verify`` at one letter step per word.
@@ -299,11 +301,14 @@ def handle_reduce(word: BraidWord) -> BraidWord:
 def _dynnikov_trivial(letters: Sequence[int]) -> bool:
     """Decide triviality by the word's action on Dynnikov coordinates.
 
-    With m the word's largest index, the coordinates are pairs (a_k, b_k),
-    k = 0..m: the word acts on m + 3 strands, where every letter is an
-    interior generator and +i, -i rewrite only (a, b, c, d) = (a_{i-1},
-    b_{i-1}, a_i, b_i).  Letters apply left to right; with x+ = max(x, 0)
-    and x- = min(x, 0),
+    The coordinates are pairs (a_k, b_k); +i and -i rewrite only (a, b,
+    c, d) = (a_{i-1}, b_{i-1}, a_i, b_i), so every letter is interior.
+    Pairs are laid out only for the indices the word uses, so the work is
+    by letters, never by strands: a run of consecutive indices shares its
+    pairs, and an index two or more past the last starts a fresh block, as
+    such letters commute and touch disjoint pairs.  Untouched pairs stay
+    fixed, so no answer changes.  Letters apply left to right; with
+    x+ = max(x, 0) and x- = min(x, 0),
 
     - sigma_i:    e = a - b- - c + d+ gives
       (a + b+ + (d+ - e)+, d - e+, c + d- + (b- + e)-, b + e+);
@@ -312,11 +317,17 @@ def _dynnikov_trivial(letters: Sequence[int]) -> bool:
 
     The action is faithful, and a braid is trivial iff it fixes
     (0, 1, 0, 1, ..., 0, 1) (Dehornoy, Dynnikov, Rolfsen and Wiest,
-    *Ordering Braids*, 2008).  Nothing is allocated per strand."""
-    start = [0, 1] * (max(map(abs, letters), default=0) + 1)
-    x = start[:]
+    *Ordering Braids*, 2008)."""
+    offset: dict[int, int] = {}  # letter +-i -> position of a_{i-1}
+    x: list[int] = []
+    for i in sorted(set(map(abs, letters))):
+        if i - 1 not in offset:  # a fresh block also lays out the pair i - 1
+            x += (0, 1)
+        offset[i] = offset[-i] = len(x) - 2
+        x += (0, 1)
+    start = x[:]
     for l in letters:
-        j = 2 * l - 2 if l > 0 else -2 * l - 2
+        j = offset[l]
         a, b, c, d = x[j:j + 4]
         bp, bm = (b, 0) if b > 0 else (0, b)
         dp, dm = (d, 0) if d > 0 else (0, d)

@@ -8,6 +8,8 @@ the representations of w1 and w2 in that order.
 Matrices reach 79x79 (the 79-edge chain).  Word images are not dense
 products: ``rank_one_product`` folds their rank-one letters, reading only
 nonzero entries; the dense product and ``inverse`` are the exact reference.
+``is_symplectic`` pairs rows through ``SymplecticForm.pairing``, the one
+place that knows the basis layout, and takes no matrix product.
 Integer-valued entries are stored as ``int`` and only genuinely fractional
 entries as ``Fraction``, and no floating point is involved anywhere.
 ``smith_normal_form`` returns only the Smith diagonal, which is unique; it
@@ -115,20 +117,6 @@ class ExactMatrix:
     def identity(n: int) -> "ExactMatrix":
         return ExactMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @staticmethod
-    def block_diagonal(blocks: Iterable["ExactMatrix"]) -> "ExactMatrix":
-        blocks = list(blocks)
-        rows = sum(b.rows for b in blocks)
-        cols = sum(b.cols for b in blocks)
-        out = [[0] * cols for _ in range(rows)]
-        r0 = c0 = 0
-        for b in blocks:
-            for i in range(b.rows):
-                out[r0 + i][c0:c0 + b.cols] = list(b.entries[i])
-            r0 += b.rows
-            c0 += b.cols
-        return ExactMatrix.from_rows(out, cols=cols)
-
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -139,11 +127,6 @@ class ExactMatrix:
         for row in self.entries:
             out.append(tuple(sum(a * b for a, b in zip(row, col)) for col in ocols))
         return ExactMatrix(self.rows, other.cols, tuple(out))
-
-    def transpose(self) -> "ExactMatrix":
-        if not self.entries:
-            return ExactMatrix(self.cols, self.rows, tuple(() for _ in range(self.cols)))
-        return ExactMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
 
     @property
     def is_square(self) -> bool:
@@ -182,10 +165,10 @@ class ExactMatrix:
         return [[format_scalar(x) for x in row] for row in self.entries]
 
     @staticmethod
-    def from_json_obj(obj: Sequence[Sequence[str]], cols: int | None = None) -> "ExactMatrix":
+    def from_json_obj(obj: Sequence[Sequence[str]]) -> "ExactMatrix":
         if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
             raise ValueError("matrix JSON must be a list of rows, each a list of scalar strings")
-        return ExactMatrix.from_rows([[parse_scalar(x) for x in row] for row in obj], cols=cols)
+        return ExactMatrix.from_rows([[parse_scalar(x) for x in row] for row in obj])
 
     def __str__(self) -> str:
         if not self.entries:
@@ -233,11 +216,6 @@ class SymplecticForm:
     def dim(self) -> int:
         return 2 * self.genus
 
-    @property
-    def matrix(self) -> ExactMatrix:
-        block = ExactMatrix.from_rows([[0, 1], [-1, 0]])
-        return ExactMatrix.block_diagonal([block] * self.genus)
-
     def pairing(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
         """<u, v> = u J v^T; antisymmetric, <x_i, y_i> = 1."""
         if len(u) != self.dim or len(v) != self.dim:
@@ -249,14 +227,21 @@ class SymplecticForm:
 
 
 def is_symplectic(m: ExactMatrix, form: SymplecticForm) -> bool:
-    """True iff m^T J m = J for the form's Gram matrix J.
+    """True iff <row_a, row_b> = <e_a, e_b> for all a < b, both through
+    ``form.pairing``: that is m J m^T = J, whose two sides alternate.  It
+    is the same as m^T J m = J, for rational or singular m too: either
+    identity makes m invertible (det(m)^2 = 1), and J^-1 = -J turns
+    m J m^T = J into m^T = -J m^-1 J, so m^T J m = J; and back on m^T.
 
     A shape mismatch is a usage bug, not a negative answer.
     """
     if m.rows != form.dim or m.cols != form.dim:
         raise ValueError(f"expected a {form.dim}x{form.dim} matrix, got {m.rows}x{m.cols}")
-    j = form.matrix
-    return m.transpose() * j * m == j
+    pair, rows, basis = form.pairing, m.entries, ExactMatrix.identity(form.dim).entries
+    return all(
+        pair(rows[a], rows[b]) == pair(basis[a], basis[b])
+        for a in range(form.dim) for b in range(a + 1, form.dim)
+    )
 
 
 def smith_normal_form(m: ExactMatrix) -> tuple[int, ...]:

