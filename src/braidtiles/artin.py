@@ -58,10 +58,12 @@ class Presentation:
 
     def parse_word(self, text: str) -> Word:
         """Word from text: generator names separated by spaces, each with an
-        optional ^-1; 'e' alone is the empty word."""
+        optional ^-1; 'e' alone is the empty word, and blank text is an error."""
         stripped = text.strip()
         if stripped == "e":
             return ()
+        if not stripped:
+            raise PresentationError("expected generator names or 'e'")
         index = {name: i + 1 for i, name in enumerate(self.generators)}
         letters: list[int] = []
         for tok in stripped.split():

@@ -16,7 +16,7 @@ certify a genuine difference, which is what the discrepancy witness uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .braid import BraidWord, cable, mirror, underlying_permutation
 from .graphs import MarkedGraph, edge_neighbors
@@ -145,22 +145,16 @@ class EdgeTransvectionRep:
                     raise ValueError(f"non-adjacent edges {a + 1},{b + 1} must pair to 0")
 
     @staticmethod
-    def from_graph(graph: MarkedGraph, signs: Mapping[tuple[int, int], int] | None = None) -> "EdgeTransvectionRep":
-        """Representation on the graph's sorted edges.  ``signs`` optionally
-        assigns the pairing of each adjacent pair (a, b), a < b, 0-based;
-        the default is +1.  Any assignment satisfies the Artin relations,
-        so the choice is a convention, tested under all of them."""
+    def from_graph(graph: MarkedGraph) -> "EdgeTransvectionRep":
+        """Representation on the graph's sorted edges, with each adjacent
+        pair a < b pairing to +1.  Any signs satisfy the Artin relations,
+        so the choice is a convention; the constructor takes any other."""
         neighbors = edge_neighbors(graph.edges)
         e = len(neighbors)
         rows = [[0] * e for _ in range(e)]
         for a in range(e):
-            for b in sorted(neighbors[a]):
-                if a < b:
-                    s = signs.get((a, b), 1) if signs else 1
-                    if s not in (1, -1):
-                        raise ValueError(f"sign for pair ({a}, {b}) must be ±1")
-                    rows[a][b] = s
-                    rows[b][a] = -s
+            for b in neighbors[a]:
+                rows[a][b] = 1 if a < b else -1
         return EdgeTransvectionRep(graph.edges, ExactMatrix.from_rows(rows, cols=e))
 
     def _factor(self, index: int) -> tuple[list[int], list[int]]:
@@ -175,9 +169,9 @@ class EdgeTransvectionRep:
         return rank_one_product(len(self.edges), self._factor, word)
 
 
-def edge_transvection_image(graph: MarkedGraph, word: Iterable[int], signs: Mapping[tuple[int, int], int] | None = None) -> ExactMatrix:
+def edge_transvection_image(graph: MarkedGraph, word: Iterable[int]) -> ExactMatrix:
     """Image of an Artin word in the edge-transvection representation."""
-    return EdgeTransvectionRep.from_graph(graph, signs).image(word)
+    return EdgeTransvectionRep.from_graph(graph).image(word)
 
 
 def wreath_symplectic(q: int, g: int, sigma: BraidWord, fs: Sequence[ExactMatrix]) -> ExactMatrix:

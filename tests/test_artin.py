@@ -77,6 +77,9 @@ def test_word_parse_and_format():
         p.parse_word("s9")
     with pytest.raises(PresentationError):
         p.parse_word("s1 junk")
+    for blank in ("", "   ", "\t\n"):  # 'e' is the only spelling of the empty word
+        with pytest.raises(PresentationError, match="expected generator names or 'e'"):
+            p.parse_word(blank)
 
 
 def test_presentation_str():

@@ -394,6 +394,16 @@ def test_handle_reduce_cost_follows_the_letters_not_the_strand_count():
     assert handle_reduce(BraidWord(10**12, (1, 2, -1))) == BraidWord(10**12, (-2, 1, 2))
 
 
+def test_random_long_words_stay_far_inside_the_step_budget(monkeypatch):
+    # the largest counts measured sit at least 20 times below the budget
+    # (see _HANDLE_STEP_LIMIT); these ten words need at most 3,316 steps
+    # each, so a kernel that multiplies the step count by 3 fails here
+    monkeypatch.setattr(braid, "_HANDLE_STEP_LIMIT", 10_000)
+    rng = random.Random(40)
+    for _ in range(10):
+        handle_reduce(rand_word(rng, 5, rng.randint(400, 800)))
+
+
 def test_nontrivial_words():
     assert not is_trivial(w("b3: s1"))
     assert not is_trivial(w("b3: s1 s2 s1 s2 s1 s2"))  # full twist squared root
@@ -488,7 +498,7 @@ def test_dynnikov_full_twist_is_central():
 
 
 def test_dynnikov_agrees_with_the_action_on_gapped_indices():
-    # {1, 2}, {5, 6} and {9} lay out separate blocks of coordinate pairs
+    # {1, 2}, {5, 6} and {9} touch disjoint sets of coordinate pairs
     rng = random.Random(21)
     indices = (1, 2, 5, 6, 9)
     trivial = 0
@@ -506,6 +516,54 @@ def test_dynnikov_agrees_with_the_action_on_gapped_indices():
         trivial += expected
         assert braid._dynnikov_trivial(word.letters) == expected, word
     assert 100 < trivial < 300
+
+
+def _laid_out_dynnikov_trivial(letters):
+    """Reference: the same update over a flat list laid out for the indices
+    the word uses, a fresh block after each index gap."""
+    offset, x = {}, []
+    for i in sorted(set(map(abs, letters))):
+        if i - 1 not in offset:
+            x += (0, 1)
+        offset[i] = offset[-i] = len(x) - 2
+        x += (0, 1)
+    start = x[:]
+    for l in letters:
+        j = offset[l]
+        a, b, c, d = x[j:j + 4]
+        bp, bm, dp, dm = max(b, 0), min(b, 0), max(d, 0), min(d, 0)
+        if l > 0:
+            e = a - bm - c + dp
+            x[j:j + 4] = a + bp + max(dp - e, 0), d - max(e, 0), c + dm + min(bm + e, 0), b + max(e, 0)
+        else:
+            e = a + bm - c - dp
+            x[j:j + 4] = a - bp - max(dp + e, 0), d + min(e, 0), c - dm - min(bm - e, 0), b - min(e, 0)
+    return x == start
+
+
+def test_dynnikov_matches_the_laid_out_coordinates():
+    checked = trivial = 0
+    for length in range(7):
+        for letters in itertools.product((1, -1, 2, -2, 3, -3), repeat=length):
+            verdict = braid._dynnikov_trivial(letters)
+            assert verdict == _laid_out_dynnikov_trivial(letters), letters
+            checked += 1
+            trivial += verdict
+    assert (checked, trivial) == (55_987, 1_245)  # the B_4 depth-6 walk
+    # indices with gaps, up to 10^12; conjugates and commutators are often trivial
+    rng = random.Random(22)
+    trivial = 0
+    for _ in range(2000):
+        indices = [rng.choice((1, 2, 3, 10 ** rng.randint(1, 12))) + rng.randint(0, 2) for _ in range(4)]
+        x = [rng.choice(indices) * rng.choice((1, -1)) for _ in range(rng.randint(0, 10))]
+        y = [rng.choice(indices) * rng.choice((1, -1)) for _ in range(rng.randint(0, 6))]
+        letters = x + y + [-l for l in reversed(x)]
+        if rng.random() < 0.5:
+            letters += [-l for l in reversed(y)]
+        verdict = braid._dynnikov_trivial(letters)
+        assert verdict == _laid_out_dynnikov_trivial(letters), letters
+        trivial += verdict
+    assert 500 < trivial < 1500
 
 
 def test_dynnikov_separates_a_commutator_of_squares():

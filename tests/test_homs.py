@@ -194,6 +194,16 @@ def test_half_twist_letter_validation():
 
 # -- transvections over a graph's edges ---------------------------------------------
 
+def _signed_rep(graph, signs):
+    """The edge representation in which each adjacent pair (a, b), a < b,
+    0-based, pairs to ``signs[a, b]``; the constructor validates it."""
+    e = len(graph.edges)
+    rows = [[0] * e for _ in range(e)]
+    for (a, b), s in signs.items():
+        rows[a][b], rows[b][a] = s, -s
+    return EdgeTransvectionRep(graph.edges, ExactMatrix.from_rows(rows, cols=e))
+
+
 def test_edge_rep_default_pairing():
     rep = EdgeTransvectionRep.from_graph(MarkedGraph.path(3))
     assert rep.pairing.entries == ((0, 1), (-1, 0))
@@ -204,7 +214,7 @@ def test_edge_rep_braid_relation_all_signs():
     # adjacent transvections satisfy the braid relation under either sign
     graph = MarkedGraph.path(3)
     for s in (1, -1):
-        rep = EdgeTransvectionRep.from_graph(graph, {(0, 1): s})
+        rep = _signed_rep(graph, {(0, 1): s})
         t1, t2 = rep.image((1,)), rep.image((2,))
         assert t1 * t2 * t1 == t2 * t1 * t2
 
@@ -218,7 +228,7 @@ def test_edge_rep_commutation():
 def test_edge_rep_validation():
     graph = MarkedGraph.path(3)
     with pytest.raises(ValueError, match="±1"):
-        EdgeTransvectionRep.from_graph(graph, {(0, 1): 2})
+        _signed_rep(graph, {(0, 1): 2})
     with pytest.raises(ValueError):
         EdgeTransvectionRep(((1, 2), (2, 3)), ExactMatrix.identity(2))
     with pytest.raises(ValueError):
@@ -255,7 +265,7 @@ def test_edge_rep_well_defined_under_every_sign_assignment():
         pres = artin.presentation_from_graph(graph)
         pairs = _adjacent_pairs(graph)
         for values in itertools.product((1, -1), repeat=len(pairs)):
-            rep = EdgeTransvectionRep.from_graph(graph, dict(zip(pairs, values)))
+            rep = _signed_rep(graph, dict(zip(pairs, values)))
             factors = {i: rep.image((i,)) for i in range(1, len(graph.edges) + 1)}
             for rel in pres.relators:
                 assert _dense_image(factors, rel).is_identity()
@@ -268,9 +278,9 @@ def test_edge_rep_random_signs_on_larger_tiles():
         graph = _full_edges(tiles.marked_graph_of(expr))
         pres = artin.presentation_from_graph(graph)
         pairs = _adjacent_pairs(graph)
-        signs = {p: rng.choice([1, -1]) for p in pairs}
+        rep = _signed_rep(graph, {p: rng.choice([1, -1]) for p in pairs})
         for rel in pres.relators:
-            assert edge_transvection_image(graph, rel, signs).is_identity()
+            assert rep.image(rel).is_identity()
 
 
 def test_chain_basis_compatibility():
@@ -287,10 +297,10 @@ def test_chain_basis_compatibility():
             for b in range(a + 1, len(chains))
             if abs(a - b) == 1
         }
-        graph = MarkedGraph.path(2 * g)
+        rep = _signed_rep(MarkedGraph.path(2 * g), gram_signs)
         for _ in range(8):
             word = rand_word(rng, 2 * g, rng.randint(0, 6))
-            restricted = edge_transvection_image(graph, word.letters, gram_signs)
+            restricted = rep.image(word.letters)
             assert c_rows * braid_to_symplectic(g, word) == restricted * c_rows
 
 
@@ -329,14 +339,15 @@ def test_edge_fold_matches_dense_product():
     pool = [expr for level in tiles.enumerate_trees(5) for expr in level[-30:]]
     for expr in rng.sample(pool, 10):
         graph = _full_edges(tiles.marked_graph_of(expr))
-        signs = {p: rng.choice([1, -1]) for p in _adjacent_pairs(graph)}
-        rep = EdgeTransvectionRep.from_graph(graph, signs)
+        pairs = _adjacent_pairs(graph)
+        rep = _signed_rep(graph, {p: rng.choice([1, -1]) for p in pairs})
+        default = _signed_rep(graph, dict.fromkeys(pairs, 1))
         e = len(graph.edges)
         factors = {i: _edge_transvection(rep, i) for i in range(1, e + 1)}
         for _ in range(4):
             word = tuple(rng.choice([1, -1]) * rng.randint(1, e) for _ in range(rng.randint(0, 24)))
             assert rep.image(word) == _dense_image(factors, word)
-            assert edge_transvection_image(graph, word, signs) == rep.image(word)
+            assert edge_transvection_image(graph, word) == default.image(word)
 
 
 # -- blockwise wreath images ----------------------------------------------------------

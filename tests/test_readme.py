@@ -1,5 +1,7 @@
-"""The `$ braidtiles ...` examples in README.md print what the README shows."""
+"""The `$ braidtiles ...` examples and the library example in README.md
+print what the README shows."""
 
+import re
 import shlex
 from pathlib import Path
 
@@ -51,3 +53,12 @@ def test_readme_example(capsys, command, expected):
         assert out[-1:] == expected[-1:]
     else:
         assert out == expected
+
+
+def test_readme_library_example(capsys):
+    # each print(...) line ends with a comment that shows what it prints
+    (code,) = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    expected = [line.rsplit("# ", 1)[1] for line in code.splitlines() if line.startswith("print(")]
+    assert expected
+    exec(compile(code, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
