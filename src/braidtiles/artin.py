@@ -23,9 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graphs import MarkedGraph, edge_neighbors
-# smith_normal_form stays importable from here: the benchmark's tracer test
-# (benchmarks/tests) patches and compares it as artin.smith_normal_form.
-from .linalg import ExactMatrix, invariant_factors, json_field, json_int, json_list, rank_one_product, smith_normal_form  # noqa: F401
+from .linalg import ExactMatrix, json_field, json_int, json_list, rank_one_product, smith_normal_form
 
 Word = tuple[int, ...]
 
@@ -148,8 +146,8 @@ class AbelianInvariants:
 
 
 def abelianization(pres: Presentation) -> AbelianInvariants:
-    """Invariant factors of the relators' exponent-sum rows via Smith normal
-    form.  Zero and repeated rows leave the row lattice unchanged, so only
+    """Invariant factors of the relators' exponent-sum rows: the nonzero
+    entries of their Smith diagonal.  Zero and repeated rows leave the row lattice unchanged, so only
     the distinct nonzero rows are built (a graph's commutators give none)."""
     n = len(pres.generators)
     rows: dict[tuple[int, ...], None] = {}
@@ -159,7 +157,7 @@ def abelianization(pres: Presentation) -> AbelianInvariants:
             row[abs(l) - 1] += 1 if l > 0 else -1
         if any(row):
             rows[tuple(row)] = None
-    factors = invariant_factors(ExactMatrix.from_rows(list(rows), cols=n))
+    factors = [d for d in smith_normal_form(ExactMatrix.from_rows(list(rows), cols=n)) if d]
     return AbelianInvariants(
         free_rank=len(pres.generators) - len(factors),
         torsion=tuple(f for f in factors if f > 1),

@@ -1,9 +1,11 @@
 """Braid words, the word problem, cabling, and the mirror involution.
 
 Convention, used package-wide: in a product ``w1 * w2`` the letters of w1
-act first.  Permutations therefore compose diagrammatically (``p * q`` is
-"p then q"), and the free-group action of a word is the composite of its
-letter substitutions applied left to right.
+act first.  So underlying permutations compose diagrammatically: with p
+and q those of w1 and w2, the strand starting at i in w1 * w2 ends at
+q(p(i)), which is how ``wreath_multiply`` reads them.  Likewise the
+free-group action of a word is the composite of its letter substitutions
+applied left to right.
 
 The word problem has three routes.  The normative oracle is the action on
 the free group F_n (sigma_i sends x_i to x_i x_{i+1} x_i^-1 and x_{i+1}
@@ -63,18 +65,8 @@ class Permutation:
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
 
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Diagrammatic composite: self first, then other."""
-        if self.n != other.n:
-            raise ValueError("permutation size mismatch")
-        return Permutation(tuple(other.images[x - 1] for x in self.images))
 
 
 @dataclass(frozen=True)
@@ -100,22 +92,10 @@ class BraidWord:
             if not (isinstance(l, int) and (0 < l <= top or -top <= l < 0)):
                 raise ValueError(f"letter {l!r} is not a generator index of a {self.n}-strand braid")
 
-    @staticmethod
-    def generator(n: int, i: int, power: int = 1) -> "BraidWord":
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"generator index {i} out of range for {n} strands")
-        sign = 1 if power >= 0 else -1
-        return BraidWord(n, (sign * i,) * abs(power))
-
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.n != other.n:
             raise ValueError(f"strand count mismatch: {self.n} vs {other.n}")
         return BraidWord(self.n, self.letters + other.letters)
-
-    def __pow__(self, exponent: int) -> "BraidWord":
-        if exponent >= 0:
-            return BraidWord(self.n, self.letters * exponent)
-        return self.inverse() ** (-exponent)
 
     def inverse(self) -> "BraidWord":
         return BraidWord(self.n, tuple(-l for l in reversed(self.letters)))
@@ -129,9 +109,9 @@ class BraidWord:
 
 @dataclass(frozen=True)
 class FreeGroupEndo:
-    """Endomorphism of the free group F_n; image words are freely reduced."""
+    """Endomorphism of the free group F_n, n = len(images); image words are
+    freely reduced."""
 
-    n: int
     images: tuple[tuple[int, ...], ...]
 
     def is_identity(self) -> bool:
@@ -239,7 +219,7 @@ def artin_action(word: BraidWord) -> FreeGroupEndo:
     letters = _free_reduce(word.letters)
     images = _fold_letters([[i] for i in range(1, max(map(abs, letters), default=0) + 2)], letters)
     fixed = ((i,) for i in range(len(images) + 1, word.n + 1))
-    return FreeGroupEndo(word.n, (*map(tuple, images), *fixed))
+    return FreeGroupEndo((*map(tuple, images), *fixed))
 
 
 def _first_handle(word: Sequence[int]) -> tuple[int, int] | None:

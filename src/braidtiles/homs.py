@@ -23,28 +23,14 @@ from .graphs import MarkedGraph, edge_neighbors
 from .linalg import ExactMatrix, SymplecticForm, is_symplectic, rank_one_product
 
 
-@dataclass(frozen=True)
-class CurveClass:
-    """Homology class of a curve on the genus-g surface, in coordinates
-    over the basis x1, y1, ..., xg, yg."""
-
-    genus: int
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.genus < 1:
-            raise ValueError("genus must be >= 1")
-        if len(self.coords) != 2 * self.genus:
-            raise ValueError(f"expected {2 * self.genus} coordinates, got {len(self.coords)}")
-
-
-def chain_classes(g: int) -> tuple[CurveClass, ...]:
-    """Classes of the 2g-1 chain curves: odd positions give y_i, even
-    positions give x_i - x_{i+1}.  Consecutive classes pair to ±1 and all
-    others to 0, matching curves that meet exactly once."""
+def chain_classes(g: int) -> tuple[tuple[int, ...], ...]:
+    """Classes of the 2g-1 chain curves, as coordinates over the basis x1,
+    y1, ..., xg, yg: odd positions give y_i, even positions give
+    x_i - x_{i+1}.  Consecutive classes pair to ±1 and all others to 0,
+    matching curves that meet exactly once."""
     if g < 1:
         raise ValueError("genus must be >= 1")
-    out: list[CurveClass] = []
+    out: list[tuple[int, ...]] = []
     for j in range(1, 2 * g):
         coords = [0] * (2 * g)
         if j % 2 == 1:
@@ -54,7 +40,7 @@ def chain_classes(g: int) -> tuple[CurveClass, ...]:
             i = j // 2
             coords[2 * i - 2] = 1  # x_i
             coords[2 * i] = -1  # -x_{i+1}
-        out.append(CurveClass(g, tuple(coords)))
+        out.append(tuple(coords))
     return tuple(out)
 
 
@@ -66,16 +52,10 @@ def chain_classes(g: int) -> tuple[CurveClass, ...]:
 # generator of genus 2..5.
 
 
-def _transvection_factor(c: CurveClass) -> tuple[list[int], tuple[int, ...]]:
+def _transvection_factor(c: tuple[int, ...]) -> tuple[list[int], tuple[int, ...]]:
     """(u, d) with <v, c> = v . u and d = c, for v -> v + <v, c> c."""
-    x = c.coords
     # <v, c> = sum_i v[2i] c[2i+1] - v[2i+1] c[2i]
-    return [x[a + 1] if a % 2 == 0 else -x[a - 1] for a in range(len(x))], x
-
-
-def transvection(c: CurveClass) -> ExactMatrix:
-    """Matrix of x -> x + <x, c> c on row vectors of Z^(2g); always symplectic."""
-    return rank_one_product(2 * c.genus, lambda _: _transvection_factor(c), (1,))
+    return [c[a + 1] if a % 2 == 0 else -c[a - 1] for a in range(len(c))], c
 
 
 def braid_to_symplectic(g: int, word: BraidWord) -> ExactMatrix:

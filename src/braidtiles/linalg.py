@@ -279,9 +279,3 @@ def smith_normal_form(m: ExactMatrix) -> tuple[int, ...]:
         a[i] = [x % p for x in pivot]
         a[i][j] = p
     return tuple(diag) + (0,) * (min(m.rows, m.cols) - len(diag))
-
-
-def invariant_factors(m: ExactMatrix) -> tuple[int, ...]:
-    """Nonzero entries of the Smith diagonal of m, in order; they depend only
-    on the row lattice of m."""
-    return tuple(d for d in smith_normal_form(m) if d)

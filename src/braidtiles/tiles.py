@@ -118,10 +118,6 @@ P = AtomExpr("P")
 F = AtomExpr("F")
 
 
-def identity(n: int) -> IdentityExpr:
-    return IdentityExpr(n)
-
-
 def compose(*parts: TileExpr) -> TileExpr:
     """Glue left to right; needs at least one part."""
     if not parts:
@@ -349,10 +345,6 @@ def normal_form(expr: TileExpr) -> TileNormalForm:
         tuple(tuple(remap(r) for r in inputs[j]) for j in order),
         tuple(remap(r) for r in outputs),
     )
-
-
-def equal_tiles(a: TileExpr, b: TileExpr) -> bool:
-    return normal_form(a) == normal_form(b)
 
 
 def to_expression(nf: TileNormalForm) -> TileExpr:

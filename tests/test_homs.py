@@ -7,7 +7,6 @@ from braidtiles import artin, braid, tiles
 from braidtiles.braid import BraidWord, parse_braid_word
 from braidtiles.graphs import MarkedGraph
 from braidtiles.homs import (
-    CurveClass,
     EdgeTransvectionRep,
     MirroredPair,
     band_generator,
@@ -18,7 +17,6 @@ from braidtiles.homs import (
     edge_transvection_image,
     half_twist_image,
     mirrored_pair,
-    transvection,
     wreath_symplectic,
 )
 from braidtiles.linalg import ExactMatrix, SymplecticForm, is_symplectic
@@ -38,15 +36,15 @@ def rand_word(rng: random.Random, n: int, length: int) -> BraidWord:
     )
 
 
-# -- chain classes and transvections ------------------------------------------
+# -- chain classes and their transvections -----------------------------------
 
 def test_chain_classes_frozen():
-    assert [c.coords for c in chain_classes(1)] == [(0, 1)]
-    assert [c.coords for c in chain_classes(2)] == [
+    assert chain_classes(1) == ((0, 1),)
+    assert chain_classes(2) == (
         (0, 1, 0, 0),
         (1, 0, -1, 0),
         (0, 0, 0, 1),
-    ]
+    )
 
 
 def test_chain_class_count():
@@ -60,41 +58,26 @@ def test_consecutive_chains_meet_once():
         chains = chain_classes(g)
         for i, a in enumerate(chains):
             for j, b in enumerate(chains):
-                v = form.pairing(a.coords, b.coords)
+                v = form.pairing(a, b)
                 assert abs(v) == (1 if abs(i - j) == 1 else 0)
 
 
-def test_curve_class_validation():
-    with pytest.raises(ValueError):
-        CurveClass(1, (1, 0, 0))
-    with pytest.raises(ValueError):
-        CurveClass(0, ())
-
-
 def test_transvection_frozen():
-    assert transvection(CurveClass(1, (1, 0))).entries == ((1, 0), (-1, 1))
-    assert transvection(CurveClass(1, (0, 1))).entries == ((1, 1), (0, 1))
-
-
-def test_transvection_is_symplectic_and_unipotent():
-    rng = random.Random(4)
-    for _ in range(10):
-        g = rng.randint(1, 3)
-        c = CurveClass(g, tuple(rng.randint(-2, 2) for _ in range(2 * g)))
-        t = transvection(c)
-        form = SymplecticForm(g)
-        assert is_symplectic(t, form)
-        nilpotent = ExactMatrix.from_rows(
-            [[x - (1 if a == b else 0) for b, x in enumerate(row)] for a, row in enumerate(t.entries)]
-        )
-        assert all(x == 0 for row in (nilpotent * nilpotent).entries for x in row)
+    # along y1: y1 is fixed and x1 -> x1 + <x1, y1> y1 = x1 + y1
+    assert braid_to_symplectic(1, w("b2: s1")).entries == ((1, 1), (0, 1))
+    assert braid_to_symplectic(1, w("b2: s1^-1")).entries == ((1, -1), (0, 1))
+    # along c = x1 - x2: x1 is fixed and y1 -> y1 + <y1, c> c = y1 - x1 + x2
+    image = braid_to_symplectic(2, w("b4: s2")).entries
+    assert image[0] == (1, 0, 0, 0)
+    assert image[1] == (-1, 1, 1, 0)
 
 
 def test_transvection_fixes_its_curve():
-    c = CurveClass(2, (1, 2, 0, -1))
-    t = transvection(c)
-    row = ExactMatrix.from_rows([list(c.coords)], cols=4)
-    assert row * t == row
+    for g in range(1, 5):
+        for i, c in enumerate(chain_classes(g), start=1):
+            row = ExactMatrix.from_rows([list(c)], cols=2 * g)
+            for l in (i, -i):
+                assert row * braid_to_symplectic(g, BraidWord(2 * g, (l,))) == row
 
 
 # -- the symplectic representation ----------------------------------------------
@@ -290,9 +273,9 @@ def test_chain_basis_compatibility():
     for g in (1, 2, 3):
         form = SymplecticForm(g)
         chains = chain_classes(g)
-        c_rows = ExactMatrix.from_rows([list(c.coords) for c in chains], cols=2 * g)
+        c_rows = ExactMatrix.from_rows([list(c) for c in chains], cols=2 * g)
         gram_signs = {
-            (a, b): form.pairing(chains[a].coords, chains[b].coords)
+            (a, b): form.pairing(chains[a], chains[b])
             for a in range(len(chains))
             for b in range(a + 1, len(chains))
             if abs(a - b) == 1
@@ -317,10 +300,20 @@ def _dense_image(factors, word):
     return result
 
 
+def _dense_transvection(form, c):
+    """Matrix of v -> v + <v, c> c, one basis row v at a time, paired
+    through the form itself."""
+    basis = ExactMatrix.identity(form.dim).entries
+    return ExactMatrix.from_rows(
+        [[x + form.pairing(v, c) * y for x, y in zip(v, c)] for v in basis], cols=form.dim
+    )
+
+
 def test_symplectic_fold_matches_dense_product():
     rng = random.Random(31)
     for g in (1, 2, 3, 4):
-        factors = {i + 1: transvection(c) for i, c in enumerate(chain_classes(g))}
+        form = SymplecticForm(g)
+        factors = {i + 1: _dense_transvection(form, c) for i, c in enumerate(chain_classes(g))}
         for _ in range(6):
             word = rand_word(rng, 2 * g, rng.randint(0, 24))
             assert braid_to_symplectic(g, word) == _dense_image(factors, word.letters)

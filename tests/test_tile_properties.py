@@ -12,11 +12,11 @@ from braidtiles.tiles import (  # noqa: E402
     ComposeExpr,
     D,
     F,
+    IdentityExpr,
     P,
     TileExpr,
     UnionExpr,
     format_tile_expression,
-    identity,
     marked_graph_of,
     marked_point_count,
     normal_form,
@@ -31,9 +31,9 @@ def _glue(pair: tuple[TileExpr, TileExpr]) -> TileExpr:
     """``a ; b`` after padding the narrower side with through-wires."""
     a, b = pair
     if a.cod < b.dom:
-        a = UnionExpr(a, identity(b.dom - a.cod))
+        a = UnionExpr(a, IdentityExpr(b.dom - a.cod))
     elif b.dom < a.cod:
-        b = UnionExpr(b, identity(a.cod - b.dom))
+        b = UnionExpr(b, IdentityExpr(a.cod - b.dom))
     return ComposeExpr(a, b)
 
 
@@ -43,7 +43,7 @@ def _grow(parts: st.SearchStrategy) -> st.SearchStrategy:
 
 
 expressions = st.recursive(
-    st.sampled_from([D, P, F]) | st.integers(0, 2).map(identity), _grow, max_leaves=12
+    st.sampled_from([D, P, F]) | st.integers(0, 2).map(IdentityExpr), _grow, max_leaves=12
 )
 
 
@@ -80,8 +80,8 @@ def test_normal_form_survives_the_canonical_expression(expr):
 @given(expressions, expressions)
 def test_normal_form_is_invariant_under_interchange(a, b):
     side_by_side = normal_form(UnionExpr(a, b))
-    a_first = ComposeExpr(UnionExpr(a, identity(b.dom)), UnionExpr(identity(a.cod), b))
-    b_first = ComposeExpr(UnionExpr(identity(a.dom), b), UnionExpr(a, identity(b.cod)))
+    a_first = ComposeExpr(UnionExpr(a, IdentityExpr(b.dom)), UnionExpr(IdentityExpr(a.cod), b))
+    b_first = ComposeExpr(UnionExpr(IdentityExpr(a.dom), b), UnionExpr(a, IdentityExpr(b.cod)))
     assert normal_form(a_first) == side_by_side == normal_form(b_first)
     # the graph is read off each staging's own diagram, whatever its numbering
     graph = marked_graph_of(normal_form(a_first))

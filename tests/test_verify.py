@@ -83,7 +83,7 @@ def _bend_chain_class_3(real):
     """Chain class 3 replaced by class 3 + class 2."""
     def bent(g):
         classes = list(real(g))
-        classes[2] = homs.CurveClass(g, tuple(a + b for a, b in zip(classes[2].coords, classes[1].coords)))
+        classes[2] = tuple(a + b for a, b in zip(classes[2], classes[1]))
         return tuple(classes)
     return bent
 
