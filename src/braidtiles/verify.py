@@ -50,21 +50,23 @@ def _check_word_problem(seed: int) -> Outcome:
     word of length <= 8 and on 1000 random 5-strand words; a disagreement
     raises WordProblemMismatch.
 
-    ``braid._suffix_walk`` gives each exhaustive word its own images, and
-    its oracle verdict is ``images == identity``.  Handle reduction's
-    verdict on a word is its verdict on the free reduction the walk
-    carries, so the kernel runs once per distinct free reduction (13,121
-    at depth 8).  Only reductions of at most depth - 2 letters are
-    remembered: a word that is not freely reduced loses at least two
-    letters, so a longer reduction is a freely reduced word, which the
-    walk meets exactly once.  A ``BraidWord`` is built only to name a word
-    on which the routes disagree."""
+    ``braid._suffix_walk`` gives the exhaustive words as states, a free
+    reduction and its action images, with the number of words in each.
+    Both verdicts on a word are functions of its state: handle
+    reduction's is its verdict on the free reduction, the oracle's is
+    ``images == identity``.  So each entry is compared once and counts for
+    all its words, and a disagreement names the entry's free reduction.
+    The kernel runs once per distinct free reduction (13,121 at depth 8).
+    Only reductions of at most depth - 2 letters are remembered: a word
+    that is not freely reduced loses at least two letters, so a longer
+    reduction is a freely reduced word, which the walk meets exactly
+    once."""
     rng = random.Random(seed)
     depth = 8
     identity = ((1,), (2,), (3,))
     verdicts: dict[tuple[int, ...], bool] = {}  # free reduction -> handle-reduction verdict
     checked = 0
-    for letters, reduced, images in braid._suffix_walk(3, depth):
+    for reduced, images, count in braid._suffix_walk(3, depth):
         fast = verdicts.get(reduced)
         if fast is None:
             fast = not braid._handle_reduce_letters(reduced)
@@ -72,8 +74,8 @@ def _check_word_problem(seed: int) -> Outcome:
                 verdicts[reduced] = fast
         slow = images == identity
         if fast != slow:
-            braid._require_agreement(fast, slow, braid.BraidWord(3, letters), "the free-group action")
-        checked += 1
+            braid._require_agreement(fast, slow, braid.BraidWord(3, reduced), "the free-group action")
+        checked += count
     for _ in range(1000):
         word = _random_word(rng, 5, 16)
         fast = not braid._handle_reduce_letters(word.letters)

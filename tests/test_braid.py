@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import re
@@ -222,28 +223,54 @@ def test_cancelling_pairs_do_not_skip_the_cross_check(monkeypatch):
         equal(x, x)
 
 
-def test_suffix_walk_yields_every_word_once():
-    walked = []
-    for letters, reduced, _ in braid._suffix_walk(3, 8):
-        assert reduced == tuple(braid._free_reduce(letters)), letters
-        walked.append(letters)
-    enumerated = sorted(letters for length in range(9)
-                        for letters in itertools.product((1, -1, 2, -2), repeat=length))
-    assert len(walked) == 87_381
-    assert sorted(walked) == enumerated
+def _walked_states(n: int, depth: int) -> collections.Counter:
+    """The walk's entries as a multiset: (reduced, images) -> words."""
+    states: collections.Counter = collections.Counter()
+    for reduced, images, count in braid._suffix_walk(n, depth):
+        states[reduced, images] += count
+    return states
+
+
+def _states_from_scratch(n: int, depth: int) -> collections.Counter:
+    """Every word's free reduction and images, each folded from the identity."""
+    alphabet = [s * i for i in range(1, n) for s in (1, -1)]
+    states: collections.Counter = collections.Counter()
+    for length in range(depth + 1):
+        for letters in itertools.product(alphabet, repeat=length):
+            images = braid._fold_letters([(i,) for i in range(1, n + 1)], letters)
+            states[tuple(braid._free_reduce(letters)), tuple(map(tuple, images))] += 1
+    return states
+
+
+def test_suffix_walk_counts_every_word_once():
+    entries = list(braid._suffix_walk(3, 8))
+    # 4,916 merged states for lengths 0-7, then 3,280 * 4 last-length steps;
+    # a walk that yields one entry per word would give 87,381
+    assert len(entries) == 4_916 + 13_120
+    assert sum(count for _, _, count in entries) == 87_381
+    assert all(reduced == tuple(braid._free_reduce(reduced)) for reduced, _, _ in entries)
 
 
 def test_suffix_walk_images_are_the_action():
-    for letters, _, images in braid._suffix_walk(3, 6):
-        assert tuple(map(tuple, images)) == artin_action(BraidWord(3, letters)).images, letters
+    for reduced, images, _ in braid._suffix_walk(3, 6):
+        assert images == artin_action(BraidWord(3, reduced)).images, reduced
 
 
 def test_suffix_walk_images_match_a_fold_from_scratch():
-    walked = 0
-    for letters, _, images in braid._suffix_walk(3, 8):
-        assert tuple(map(tuple, braid._fold_letters([[1], [2], [3]], letters))) == images, letters
-        walked += 1
-    assert walked == 87_381
+    assert _walked_states(3, 8) == _states_from_scratch(3, 8)
+
+
+@pytest.mark.parametrize("n, depth", [(4, 5), (5, 4)])
+def test_suffix_walk_matches_a_fold_from_scratch_with_far_commutation(n, depth):
+    assert _walked_states(n, depth) == _states_from_scratch(n, depth)
+
+
+@pytest.mark.parametrize("n, depth, trivial, freely_trivial", [(3, 8, 2_689, 2_357), (4, 5, 81, 73)])
+def test_suffix_walk_counts_the_trivial_words(n, depth, trivial, freely_trivial):
+    identity = tuple((i,) for i in range(1, n + 1))
+    states = _walked_states(n, depth)
+    assert sum(count for (_, images), count in states.items() if images == identity) == trivial
+    assert states[(), identity] == freely_trivial
 
 
 def test_suffix_walk_folds_each_distinct_step_once_per_walk(monkeypatch):
@@ -259,21 +286,8 @@ def test_suffix_walk_folds_each_distinct_step_once_per_walk(monkeypatch):
         calls.clear()
         for _ in braid._suffix_walk(3, 8):
             pass
-        assert len(calls) == 3_230, walk  # of 87,380 letter steps
+        assert len(calls) == 3_230, walk  # of 19,664 state steps (87,380 letter steps)
         assert set(calls) == {(1,), (-1,)}
-
-
-def test_suffix_walk_leaves_parent_images_alone():
-    seen = {}
-    shared = 0
-    for letters, _, images in braid._suffix_walk(4, 3):
-        seen[letters] = (images, tuple(img[:] for img in images))
-        if letters:
-            parent, _ = seen[letters[1:]]
-            shared += sum(any(img is p for p in parent) for img in images)
-    assert shared > 0  # children reuse their parent's images...
-    for images, snapshot in seen.values():
-        assert images == snapshot  # ...and generating them changed none
 
 
 def test_free_reduce():
@@ -456,10 +470,14 @@ def test_pseudo_anosov_power_fast():
 
 def test_dynnikov_agrees_with_the_walk_images():
     identity = ((1,), (2,), (3,))
+    oracle = {}  # free reduction -> the walk's oracle verdict
+    for reduced, images, _ in braid._suffix_walk(3, 8):
+        assert oracle.setdefault(reduced, images == identity) == (images == identity), reduced
     walked = 0
-    for letters, _, images in braid._suffix_walk(3, 8):
-        assert braid._dynnikov_trivial(letters) == (images == identity), letters
-        walked += 1
+    for length in range(9):
+        for letters in itertools.product((1, -1, 2, -2), repeat=length):
+            assert braid._dynnikov_trivial(letters) == oracle[tuple(braid._free_reduce(letters))], letters
+            walked += 1
     assert walked == 87_381
 
 

@@ -8,8 +8,8 @@ import pytest
 
 from braidtiles import braid, homs, tiles, verify
 
-# A nontrivial exhaustive 3-strand word (a conjugate of s1^-1).  Any such word
-# would do; this one comes early in the walk, so the failing run ends soon.
+# A nontrivial freely reduced 3-strand word (a conjugate of s1^-1).  Any such
+# word would do; this one comes early in the walk, so the failing run ends soon.
 _WORD = (2, -1, -2)
 
 
@@ -32,12 +32,8 @@ def test_gate_catches_a_wrong_handle_reduction(monkeypatch):
         return [] if letters == _WORD else real(letters)
 
     monkeypatch.setattr(braid, "_handle_reduce_letters", wrong_on_one_word)
-    # The kernel sees free reductions, so the gate names the first walked
-    # word whose free reduction is _WORD.
-    first = next(letters for letters, _, _ in braid._suffix_walk(3, 8)
-                 if braid._free_reduce(letters) == list(_WORD))
-    assert len(first) > len(_WORD)
-    assert _mismatched_word(_word_problem_record()) == first
+    # the kernel sees free reductions, and the gate names the state's reduction
+    assert _mismatched_word(_word_problem_record()) == _WORD
 
 
 def test_gate_reduces_each_distinct_free_reduction_once(monkeypatch):
@@ -60,23 +56,42 @@ def test_gate_reduces_each_distinct_free_reduction_once(monkeypatch):
 def test_gate_catches_corrupted_walked_images(monkeypatch):
     real = braid._suffix_walk
 
-    def corrupt_one_node(n, depth):
-        for letters, reduced, images in real(n, depth):
-            yield letters, reduced, (tuple((i,) for i in range(1, n + 1)) if letters == _WORD else images)
+    def corrupt_one_state(n, depth):
+        for reduced, images, count in real(n, depth):
+            yield reduced, (tuple((i,) for i in range(1, n + 1)) if reduced == _WORD else images), count
 
-    monkeypatch.setattr(braid, "_suffix_walk", corrupt_one_node)
+    monkeypatch.setattr(braid, "_suffix_walk", corrupt_one_state)
     assert _mismatched_word(_word_problem_record()) == _WORD
 
 
 def test_gate_catches_a_corrupted_carried_reduction(monkeypatch):
     real = braid._suffix_walk
 
-    def corrupt_one_node(n, depth):
-        for letters, reduced, images in real(n, depth):
-            yield letters, (() if letters == _WORD else reduced), images
+    def corrupt_one_state(n, depth):
+        for reduced, images, count in real(n, depth):
+            yield (() if reduced == _WORD else reduced), images, count
 
-    monkeypatch.setattr(braid, "_suffix_walk", corrupt_one_node)
-    assert _mismatched_word(_word_problem_record()) == _WORD
+    monkeypatch.setattr(braid, "_suffix_walk", corrupt_one_state)
+    assert _mismatched_word(_word_problem_record()) == ()
+
+
+def test_gate_catches_images_that_depend_on_the_path(monkeypatch):
+    # Wrong only on one distinct step: a positive letter on the image pair
+    # ((2,), (-2, 1, 2)) of s1^-1.  s1 s1^-1 takes that step, and it cancels
+    # the reduction's first letter, so the empty reduction has the identity
+    # images from the empty word and wrong ones through s1 s1^-1.  The walk
+    # keeps both states, so the gate names the empty word; a walk that kept
+    # one state per reduction would hide this fault there.
+    real = braid._fold_letters
+    s1_inverse = ((2,), (-2, 1, 2))
+
+    def wrong_on_one_step(images, letters):
+        if tuple(images) == s1_inverse and tuple(letters) == (1,):
+            return [(1,), (1,)]
+        return real(images, letters)
+
+    monkeypatch.setattr(braid, "_fold_letters", wrong_on_one_step)
+    assert _mismatched_word(_word_problem_record()) == ()
 
 
 def _bend_chain_class_3(real):
