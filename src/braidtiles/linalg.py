@@ -14,10 +14,20 @@ Integer-valued entries are stored as ``int`` and only genuinely fractional
 entries as ``Fraction``, and no floating point is involved anywhere.
 ``smith_normal_form`` returns only the Smith diagonal, which is unique; it
 keeps no unimodular certificate.
+
+Per-entry work runs at C speed where the entries allow it, with the same
+results as entry-by-entry code: a row of exact ``int`` entries is stored
+as it is after one type check, rows are always tuples so whole rows
+compare at once, an update by a coefficient 1 or -1 (nearly every one that
+transvections, reflections and unit Smith pivots make) is a ``map`` of
+``operator.add`` or ``operator.sub``, and a Smith pivot 1 or -1, which
+divides every entry, skips the searches for what it does not divide.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,7 +94,11 @@ def format_scalar(x: Scalar) -> str:
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable dense matrix with exact int/Fraction entries."""
+    """Immutable dense matrix with exact int/Fraction entries, stored as a
+    tuple of row tuples.  A row whose entries are all exactly ``int`` (not
+    ``bool``, not an int subclass) is kept after a type check at C speed;
+    any other row goes through ``_norm`` entry by entry, which collapses
+    integral Fractions to int and rejects bool, float and the rest."""
 
     rows: int
     cols: int
@@ -99,7 +113,7 @@ class ExactMatrix:
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError(f"expected {self.cols} columns, got {len(row)}")
-            norm_rows.append(tuple(_norm(x) for x in row))
+            norm_rows.append(tuple(row) if set(map(type, row)) <= {int} else tuple(map(_norm, row)))
         object.__setattr__(self, "entries", tuple(norm_rows))
 
     @staticmethod
@@ -115,7 +129,7 @@ class ExactMatrix:
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return ExactMatrix(n, n, _identity_rows(n))
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
@@ -133,12 +147,12 @@ class ExactMatrix:
         return self.rows == self.cols
 
     def is_identity(self) -> bool:
-        return self.is_square and all(
-            self.entries[i][j] == (1 if i == j else 0) for i in range(self.rows) for j in range(self.cols)
-        )
+        """Rows are stored as tuples, so this is one comparison with the
+        identity's rows, entry by entry at C speed."""
+        return self.is_square and self.entries == _identity_rows(self.rows)
 
     def is_integer(self) -> bool:
-        return all(isinstance(x, int) for r in self.entries for x in r)
+        return all(issubclass(t, int) for t in set(map(type, itertools.chain.from_iterable(self.entries))))
 
     def inverse(self) -> "ExactMatrix":
         """Exact inverse by Gauss-Jordan; raises ValueError when singular."""
@@ -178,6 +192,39 @@ class ExactMatrix:
         return "\n".join("[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells)
 
 
+def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of the n x n identity, each a slice of one tuple."""
+    unit = (0,) * n + (1,) + (0,) * n
+    return tuple(unit[n - i:2 * n - i] for i in range(n))
+
+
+def _add_multiple(w: Sequence[int], c: int, v: Sequence[int]) -> list[int]:
+    """w + c v entrywise; for c = 1 or -1 the sum is taken at C speed."""
+    if c == 1:
+        return list(map(operator.add, w, v))
+    if c == -1:
+        return list(map(operator.sub, w, v))
+    return [a + c * b for a, b in zip(w, v)]
+
+
+def _letter_terms(u: Sequence[int], d: Sequence[int]) -> tuple[tuple, tuple]:
+    """Terms (k, x, rest, sd) of the letters +i and -i of the factor
+    I + s u^T d: R u^T is x times column k of R plus c times column k' for
+    each (k', c) in rest, and column j gains y times that for each (j, y) in
+    sd.  Only nonzero entries are kept.  A coefficient 1 or -1 of u leads
+    when there is one, and its sign moves into sd, so that R u^T starts
+    from the column itself; sd also carries the sign s of the letter.  A
+    factor with u or d zero is the identity and gets an empty sd."""
+    u_terms = sorted(((k, x) for k, x in enumerate(u) if x), key=lambda term: abs(term[1]) != 1)
+    d_terms = [(j, y) for j, y in enumerate(d) if y]
+    if not (u_terms and d_terms):
+        return (0, 1, [], []), (0, 1, [], [])
+    (k, x), rest = u_terms[0], u_terms[1:]
+    if x in (1, -1):
+        rest, d_terms, x = [(k2, x * c) for k2, c in rest], [(j, x * y) for j, y in d_terms], 1
+    return (k, x, rest, d_terms), (k, x, rest, [(j, -y) for j, y in d_terms])
+
+
 def rank_one_product(
     n: int, factor: Callable[[int], tuple[Sequence[int], Sequence[int]]], word: Iterable[int]
 ) -> ExactMatrix:
@@ -185,21 +232,26 @@ def rank_one_product(
     on row vectors as v -> v + s (v . u) d: letter l gives (u, d) =
     factor(|l|), fetched once per generator, and s = sign(l).  Kept by
     columns, a factor adds s * d[j] * (R u^T) to column j of the product R
-    for each nonzero d[j], so zero entries of u and d are never read."""
-    sparse = {}
-    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    for each nonzero d[j].
+
+    A letter makes one pass over the columns that u names to form R u^T,
+    then one pass for each nonzero of d, with the sign folded into its
+    coefficient (``_letter_terms``); zero entries of u and d are never
+    read.  Transvections and reflections have coefficients 1 and -1
+    almost everywhere, and those passes add or subtract at C speed."""
+    sparse: dict[int, tuple] = {}
+    cols = list(_identity_rows(n))  # the identity's columns are its rows
     for l in word:
-        if abs(l) not in sparse:
-            u, d = factor(abs(l))
-            sparse[abs(l)] = ([(k, x) for k, x in enumerate(u) if x], [(j, y) for j, y in enumerate(d) if y])
-        u, d = sparse[abs(l)]
-        ru = [0] * n
-        for k, x in u:
-            ru = [a + x * b for a, b in zip(ru, cols[k])]
-        for j, y in d:
-            sy = y if l > 0 else -y
-            cols[j] = [a + sy * b for a, b in zip(cols[j], ru)]
-    return ExactMatrix.from_rows(list(zip(*cols)), cols=n)
+        if l not in sparse:
+            sparse[abs(l)], sparse[-abs(l)] = _letter_terms(*factor(abs(l)))
+        k, x, rest, d = sparse[l]
+        if d:
+            ru = cols[k] if x == 1 else [x * b for b in cols[k]]
+            for k, x in rest:
+                ru = _add_multiple(ru, x, cols[k])
+            for j, y in d:
+                cols[j] = _add_multiple(cols[j], y, ru)
+    return ExactMatrix(n, n, tuple(zip(*cols)))
 
 
 @dataclass(frozen=True)
@@ -244,38 +296,55 @@ def is_symplectic(m: ExactMatrix, form: SymplecticForm) -> bool:
     )
 
 
+def _pivot_position(a: list[list[int]]) -> tuple[int, int]:
+    """Row and column of the smallest nonzero |entry|, the first in
+    row-major order among equals.  Each row's least |entry| is taken at C
+    speed, and the search stops at the first row that holds a 1 or -1:
+    nothing is smaller, and no earlier entry is as small."""
+    least, i = 0, -1
+    for r, row in enumerate(a):
+        m = min(map(abs, filter(None, row)), default=0)
+        if m and (m < least or not least):
+            least, i = m, r
+            if m == 1:
+                break
+    return i, [*map(abs, a[i])].index(least)
+
+
 def smith_normal_form(m: ExactMatrix) -> tuple[int, ...]:
     """Diagonal d1 | d2 | ... of the Smith normal form of an integer matrix:
     min(rows, cols) nonnegative ints, zeros last.  The diagonal is unique,
     so no unimodular certificate is kept.
 
     Each round pivots on the smallest nonzero |entry| left (ties by
-    row-major position) and clears its column and row modulo the pivot.  A
-    remainder, or a row with an entry the pivot does not divide added to
-    the pivot row, leaves a smaller entry to pivot on next; otherwise |pivot|
-    is recorded and its row, its column and every zero row are dropped.
+    row-major position, ``_pivot_position``) and clears its column and row
+    modulo the pivot.  A remainder, or a row with an entry the pivot does
+    not divide added to the pivot row, leaves a smaller entry to pivot on
+    next; otherwise |pivot| is recorded and its row, its column and every
+    zero row are dropped.  A pivot 1 or -1 divides every entry, so it leaves
+    no remainder and no such row, and is recorded without looking for them.
     """
     if not m.is_integer():
         raise ValueError("smith_normal_form requires integer entries")
     a = [list(row) for row in m.entries if any(row)]
     diag: list[int] = []
     while a:
-        _, i, j = min((abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x)
+        i, j = _pivot_position(a)
         p, pivot = a[i][j], a[i]
         for r, row in enumerate(a):
             if row[j] and r != i:
-                q = row[j] // p
-                a[r] = [x - q * y for x, y in zip(row, pivot)]
-        if any(row[j] for row in a if row is not pivot):
-            continue
-        # Column j is now p at row i alone, so column steps change only row i.
-        if not any(x % p for x in pivot):
-            offender = next((row for row in a if any(x % p for x in row)), None)
-            if offender is None:
-                diag.append(abs(p))
-                a = [row[:j] + row[j + 1:] for row in a if row is not pivot and any(row)]
+                a[r] = _add_multiple(row, -(row[j] // p), pivot)
+        if p != 1 and p != -1:
+            if any(row[j] for row in a if row is not pivot):
                 continue
-            pivot = [x + y for x, y in zip(pivot, offender)]
-        a[i] = [x % p for x in pivot]
-        a[i][j] = p
+            # Column j is now p at row i alone, so column steps change only row i.
+            if not any(x % p for x in pivot):
+                offender = next((row for row in a if any(x % p for x in row)), None)
+                pivot = None if offender is None else [x + y for x, y in zip(pivot, offender)]
+            if pivot is not None:
+                a[i] = [x % p for x in pivot]
+                a[i][j] = p
+                continue
+        diag.append(abs(p))
+        a = [row[:j] + row[j + 1:] for r, row in enumerate(a) if r != i and any(row)]
     return tuple(diag) + (0,) * (min(m.rows, m.cols) - len(diag))

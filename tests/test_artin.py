@@ -253,6 +253,15 @@ def test_abelianization_against_minor_oracle():
         assert (inv.free_rank, inv.torsion) == _abelianization_oracle(pres)
 
 
+def test_f_chains_abelianize_to_z():
+    # the chain of depth k is a path on 2k - 1 edges; its relator rows are
+    # e_a - e_b, so every Smith pivot is a unit
+    for depth in range(1, 41):
+        graph = tiles.marked_graph_of(tiles.parse_tile_expression(" ; ".join(["F"] * depth)))
+        assert len(graph.edges) == 2 * depth - 1
+        assert abelianization(presentation_from_graph(graph)) == AbelianInvariants(1, ())
+
+
 def test_disjoint_edges_give_rank_two():
     inv = abelianization(presentation_from_graph(MarkedGraph(4, ((1, 2), (3, 4)))))
     assert inv.free_rank == 2
@@ -271,12 +280,20 @@ def test_coxeter_labels_from_graph():
 
 
 def test_coxeter_validation():
-    with pytest.raises(ValueError):
-        CoxeterSystem(((1, 2), (3, 1)))  # not symmetric
-    with pytest.raises(ValueError):
-        CoxeterSystem(((2,),))  # diagonal must be 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be symmetric"):
+        CoxeterSystem(((1, 2), (3, 1)))
+    with pytest.raises(ValueError, match="diagonal Coxeter labels must be 1"):
+        CoxeterSystem(((2,),))
+    with pytest.raises(ValueError, match=r"unsupported Coxeter label 7 at \(1,2\)"):
         CoxeterSystem(((1, 7), (7, 1)))  # only labels 2 and 3 are supported
+    with pytest.raises(ValueError, match="must be square"):
+        CoxeterSystem(((1, 2), (2,)))
+    # the first fault is reported after rows that pass whole
+    with pytest.raises(ValueError, match="diagonal Coxeter labels must be 1"):
+        CoxeterSystem(((1, 2, 2), (2, 1, 3), (2, 3, 2)))
+    with pytest.raises(ValueError, match=r"unsupported Coxeter label 4 at \(2,3\)"):
+        CoxeterSystem(((1, 2, 2), (2, 1, 4), (2, 4, 1)))
+    assert CoxeterSystem(((1, 2, 3), (2, 1, 3), (3, 3, 1))).rank == 3
 
 
 def _bilinear(cox, s, t):

@@ -218,6 +218,14 @@ def test_edge_rep_validation():
         EdgeTransvectionRep(((1, 2), (2, 3)), ExactMatrix.from_rows([[0, 0], [0, 0]]))
     with pytest.raises(ValueError, match="non-adjacent edges 1,2 must pair to 0"):
         EdgeTransvectionRep(((1, 2), (3, 4)), ExactMatrix.from_rows([[0, 1], [-1, 0]]))
+    # the first fault is reported after rows that pass whole
+    path = ((1, 2), (2, 3), (3, 4))
+    with pytest.raises(ValueError, match="pairing must be skew-symmetric"):
+        EdgeTransvectionRep(path, ExactMatrix.from_rows([[0, 1, 0], [-1, 0, 1], [0, 1, 0]]))
+    with pytest.raises(ValueError, match="non-adjacent edges 2,4 must pair to 0"):
+        EdgeTransvectionRep(path + ((4, 5),), ExactMatrix.from_rows(
+            [[0, 1, 0, 0], [-1, 0, 1, 2], [0, -1, 0, 1], [0, -2, -1, 0]]))
+    assert EdgeTransvectionRep(path, ExactMatrix.from_rows([[0, -1, 0], [1, 0, 1], [0, -1, 0]])).pairing
     with pytest.raises(ValueError, match="edge index 9 outside 1..2"):
         edge_transvection_image(graph, (9,))
 

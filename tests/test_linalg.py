@@ -68,6 +68,26 @@ def test_constructor_normalizes_fractions():
     assert m.entries[0][0] == 2
     assert isinstance(m.entries[0][0], int)
     assert m.entries[0][1] == Fraction(1, 3)
+    # a row with one Fraction is normalized whole; all-int rows are kept
+    m = ExactMatrix.from_rows([[Fraction(6, 3), 5], [1, 2]])
+    assert m.entries == ((2, 5), (1, 2))
+    assert type(m.entries[0][0]) is int
+    assert all(type(row) is tuple for row in m.entries)
+
+
+class _Count(int):
+    pass
+
+
+def test_constructor_rejects_inexact_entries():
+    # one bad entry in an otherwise all-int row fails the row's fast path
+    for bad in (True, False, 1.0, 0.5):
+        with pytest.raises(TypeError):
+            ExactMatrix.from_rows([[1, 2, bad]])
+    # an int subclass is exact: it keeps its value
+    m = ExactMatrix.from_rows([[_Count(7), 1]])
+    assert m.entries == ((7, 1),)
+    assert m.is_integer()
 
 
 def test_ragged_rows_rejected():
@@ -78,6 +98,12 @@ def test_ragged_rows_rejected():
 def test_identity_and_zeros():
     assert ExactMatrix.identity(3).is_identity()
     assert not _zeros(2, 2).is_identity()
+    assert ExactMatrix.identity(3).entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert ExactMatrix.from_rows([], cols=0).is_identity()
+    assert ExactMatrix.from_rows([[Fraction(1), Fraction(0)], [0, Fraction(2, 2)]]).is_identity()
+    assert not ExactMatrix.from_rows([[1, 0, 0], [0, 1, 0]]).is_identity()
+    assert not ExactMatrix.from_rows([[1, 0], [3, 1]]).is_identity()
+    assert not ExactMatrix.from_rows([[1, 0], [0, -1]]).is_identity()
 
 
 def test_product_and_shape_errors():
@@ -170,6 +196,22 @@ def test_smith_random_properties():
         assert nonzero == _factors_from_divisors(_determinantal_divisors(rows))
 
 
+@pytest.mark.parametrize("entries", [
+    (0, 0, -9, -6, -4, -2, 2, 3, 4, 6, 10, 15),  # no unit: every pivot search looks at every row
+    (0, 1, -1, 1, -1, 2),  # units nearly everywhere: the search stops at the first one
+], ids=["no-unit", "units"])
+def test_smith_pivot_paths_match_minor_oracle(entries):
+    rng = random.Random(11)
+    units = 0
+    for _ in range(80):
+        r, c = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [[rng.choice(entries) for _ in range(c)] for _ in range(r)]
+        units += any(abs(x) == 1 for row in rows for x in row)
+        nonzero = [x for x in smith_normal_form(ExactMatrix.from_rows(rows, cols=c)) if x]
+        assert nonzero == _factors_from_divisors(_determinantal_divisors(rows))
+    assert units > 60 if 1 in entries else units == 0
+
+
 def _invariant_factors(m):
     """The nonzero entries of the Smith diagonal, as abelianization keeps them."""
     return [d for d in smith_normal_form(m) if d]
@@ -196,14 +238,23 @@ def test_invariant_factors_frozen():
 
 # -- rank-one products --------------------------------------------------------------
 
+def _sparse_vector(rng, n, size, values):
+    out = [0] * n
+    for k in rng.sample(range(n), min(size, n)):
+        out[k] = rng.choice(values)
+    return out
+
+
 def test_rank_one_product_matches_dense_factors():
     # letter l is the factor I + sign(l) u^T d of generator |l|, whether or
     # not d . u = 0; each generator's (u, d) is requested once
     rng = random.Random(5)
-    for _ in range(30):
-        n, gens = rng.randint(0, 5), rng.randint(1, 3)
+    seen = set()
+    for _ in range(300):
+        n, gens = rng.randint(0, 8), rng.randint(1, 3)
         pairs = {
-            i: ([rng.choice([0, 0, 1, -2, 3]) for _ in range(n)], [rng.choice([0, 0, -1, 2]) for _ in range(n)])
+            i: (_sparse_vector(rng, n, rng.choice([0, 1, 2, 3, 5]), [1, -1, 2, -2, 3]),
+                _sparse_vector(rng, n, rng.choice([0, 1, 2]), [1, -1, 2, -2]))
             for i in range(1, gens + 1)
         }
         word = [rng.choice([1, -1]) * rng.randint(1, gens) for _ in range(rng.randint(0, 8))]
@@ -220,8 +271,16 @@ def test_rank_one_product_matches_dense_factors():
             dense = dense * ExactMatrix.from_rows(
                 [[(1 if a == b else 0) + s * u[a] * d[b] for b in range(n)] for a in range(n)], cols=n
             )
+            seen.add((sum(map(bool, u)), sum(map(bool, d))))
+            seen.update(("u", x) for x in u if x)
+            seen.update(("d", s * y) for y in d if y)
+            seen.add(("d.u", sum(x * y for x, y in zip(u, d)) != 0))
         assert rank_one_product(n, factor, word) == dense
         assert sorted(requested) == sorted(set(map(abs, word)))
+    # every support size, both signs of every coefficient, and d . u zero or not
+    assert {(a, b) for a in (0, 1, 2, 3, 5) for b in (0, 1, 2)} <= seen
+    assert {("u", x) for x in (1, -1, 2, -2)} | {("d", y) for y in (1, -1, 2, -2)} <= seen
+    assert {("d.u", False), ("d.u", True)} <= seen
 
 
 # -- symplectic form ----------------------------------------------------------
