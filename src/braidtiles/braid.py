@@ -432,8 +432,8 @@ def wreath_multiply(
     return sigma * sigma2, nu
 
 
-_HEADER_RE = re.compile(r"^\s*b(\d+)\s*:")
-_LETTER_RE = re.compile(r"^s(\d+)(\^-1)?$")
+_HEADER_RE = re.compile(r"^\s*b([0-9]+)\s*:")
+_LETTER_RE = re.compile(r"^s([0-9]+)(\^-1)?$")
 
 
 def parse_braid_word(text: str) -> BraidWord:

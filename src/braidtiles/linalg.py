@@ -8,8 +8,9 @@ the representations of w1 and w2 in that order.
 Matrices reach 79x79 (the 79-edge chain).  Word images are not dense
 products: ``rank_one_product`` folds their rank-one letters, reading only
 nonzero entries; the dense product and ``inverse`` are the exact reference.
-``is_symplectic`` pairs rows through ``SymplecticForm.pairing``, the one
-place that knows the basis layout, and takes no matrix product.
+``is_symplectic`` pairs rows through ``SymplecticForm.pairing`` and takes
+no matrix product; ``homs._transvection_factor`` writes the same pairing as
+a dot product with a rearranged class.
 Integer-valued entries are stored as ``int`` and only genuinely fractional
 entries as ``Fraction``, and no floating point is involved anywhere.
 ``smith_normal_form`` returns only the Smith diagonal, which is unique; it
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,12 +50,16 @@ def _norm(x: Scalar) -> Scalar:
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse "p" or "p/q" into an exact scalar; anything else, a zero
-    denominator included, raises ValueError naming the text."""
+    """Parse "p" or "p/q" into an exact scalar: ASCII decimal numerals, a
+    "-" allowed only in front of p, as ``format_scalar`` prints them.
+    Anything else, a zero denominator included, raises ValueError naming
+    the text."""
     try:
-        return _norm(Fraction(*(int(part) for part in text.split("/"))))
-    except (AttributeError, TypeError, ValueError, ZeroDivisionError):
-        raise ValueError(f"invalid scalar {text!r}: expected a string \"p\" or \"p/q\" with q nonzero") from None
+        if re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
+            return _norm(Fraction(*(int(part) for part in text.split("/"))))
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"invalid scalar {text!r}: expected a string \"p\" or \"p/q\" with q nonzero")
 
 
 @contextmanager

@@ -9,14 +9,13 @@ _STATUSES = ("pass", "fail", "inconclusive")
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """Outcome of one named check.  An inconclusive record counts against
-    the suite only when ``required`` is set."""
+    """Outcome of one named check.  Only a failure counts against the
+    suite: an inconclusive record is not a failure."""
 
     name: str
     status: str
     details: str = ""
     wall_time: float = 0.0
-    required: bool = False
 
     def __post_init__(self) -> None:
         if self.status not in _STATUSES:
@@ -24,11 +23,7 @@ class CheckRecord:
 
     @property
     def ok(self) -> bool:
-        if self.status == "pass":
-            return True
-        if self.status == "inconclusive":
-            return not self.required
-        return False
+        return self.status != "fail"
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,8 @@ class TileParseError(ValueError):
 @dataclass(frozen=True, slots=True)
 class TileExpr:
     """Base class of tile expression terms; ``dom`` and ``cod`` are fixed
-    at construction."""
+    at construction.  Equality is structural; ``==``, ``hash`` and
+    ``repr`` walk the expression without recursion, so any depth works."""
 
     dom: int = field(init=False, compare=False, repr=False)
     cod: int = field(init=False, compare=False, repr=False)
@@ -64,11 +65,38 @@ class TileExpr:
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TileExpr):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            if isinstance(a, UnionExpr):
+                stack += ((a.right, b.right), (a.left, b.left))
+            elif isinstance(a, ComposeExpr):
+                stack += ((a.second, b.second), (a.first, b.first))
+            elif isinstance(a, AtomExpr):
+                if a.tag != b.tag:
+                    return False
+            elif isinstance(a, IdentityExpr) and a.width != b.width:
+                return False
+        return True
+
+    def __hash__(self) -> int:  # equal expressions print the same text
+        return hash(format_tile_expression(self))
+
+    def __repr__(self) -> str:
+        return f"parse_tile_expression({format_tile_expression(self)!r})"
+
     def __str__(self) -> str:
         return format_tile_expression(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class AtomExpr(TileExpr):
     tag: str
 
@@ -78,7 +106,7 @@ class AtomExpr(TileExpr):
         self._arity(*_ARITY[self.tag])
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class IdentityExpr(TileExpr):
     width: int
 
@@ -88,7 +116,7 @@ class IdentityExpr(TileExpr):
         self._arity(self.width, self.width)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class ComposeExpr(TileExpr):
     """Gluing ``first ; second``: first's outputs feed second's inputs."""
 
@@ -104,7 +132,7 @@ class ComposeExpr(TileExpr):
         self._arity(self.first.dom, self.second.cod)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class UnionExpr(TileExpr):
     left: TileExpr
     right: TileExpr
@@ -140,16 +168,18 @@ def disjoint_union(*parts: TileExpr) -> TileExpr:
 
 # -- text format --------------------------------------------------------
 
-_PREC = {"+": 2, ";": 1}
-_IDENTITY_TERM = re.compile(r"1_(\d+)")
+_IDENTITY_TERM = re.compile(r"1_([0-9]+)")
 
 
 def parse_tile_expression(text: str) -> TileExpr:
     """Parse the tile grammar: atoms D, P, F; identities 1_<n>; ``+`` for
     union binding tighter than ``;`` for gluing; both left-associative;
-    parentheses allowed.  An operator stack replaces recursive descent, so
-    nesting depth is unbounded; a pending gluing is checked as soon as its
-    right part ends, as recursive descent would."""
+    parentheses allowed.  An expression is unions glued left to right, and
+    a union is terms side by side.  Each open parenthesis, and the text as
+    a whole, has a frame: the gluing so far, the position of its last
+    ``;``, and the union after that ``;``.  Frames live on a list, so
+    nesting depth is unbounded.  A frame's pending gluing is checked as soon
+    as its union ends, before any later error, as recursive descent would."""
     tokens: list[tuple[str, int, int]] = []  # (kind, value-or-0, position)
     i = 0
     while i < len(text):
@@ -167,54 +197,43 @@ def parse_tile_expression(text: str) -> TileExpr:
             i = m.end()
             continue
         raise TileParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("$", 0, len(text)))  # end of text
 
     atoms = {"D": D, "P": P, "F": F}
-    terms: list[TileExpr] = []
-    ops: list[tuple[int, str, int]] = []  # pending "+", ";" and "(": (precedence, kind, position)
-
-    def reduce(prec: int) -> None:
-        """Apply the pending operators of precedence >= prec, innermost first."""
-        while ops and ops[-1][0] >= prec:
-            _, op, at = ops.pop()
-            right = terms.pop()
-            if op == "+":
-                terms[-1] = UnionExpr(terms[-1], right)
-                continue
-            try:
-                terms[-1] = ComposeExpr(terms[-1], right)
-            except ValueError as exc:
-                raise TileParseError(str(exc), at) from None
-
+    outer: list[tuple[TileExpr | None, int, TileExpr | None]] = []  # frames of the enclosing groups
+    glued: TileExpr | None = None  # the innermost frame: its gluing so far,
+    semi = 0  # the position of its last ";",
+    union: TileExpr | None = None  # and the union after it
     want_term = True
     for kind, value, at in tokens:
         if want_term:
             if kind == "(":
-                ops.append((0, kind, at))
+                outer.append((glued, semi, union))
+                glued = union = None
                 continue
             if kind not in "DPF1":
-                raise TileParseError(f"expected a tile term, found {kind!r}", at)
-            terms.append(IdentityExpr(value) if kind == "1" else atoms[kind])
-            want_term = False
-        elif kind in _PREC:  # "+" or ";"
-            prec = _PREC[kind]
-            if ops and ops[-1][0] >= prec:
-                reduce(prec)
-            ops.append((prec, kind, at))
+                found = "" if kind == "$" else f", found {kind!r}"
+                raise TileParseError(f"expected a tile term{found}", at)
+            term = IdentityExpr(value) if kind == "1" else atoms[kind]
+        elif kind == "+":
             want_term = True
-        else:  # ")" closes the innermost group; anything else cannot follow a term
-            reduce(1)
-            if kind == ")" and ops:
-                ops.pop()
-            elif ops:
-                raise TileParseError("missing ')'", at)
-            else:
-                raise TileParseError(f"unexpected {kind!r}", at)
-    if want_term:
-        raise TileParseError("expected a tile term", len(text))
-    reduce(1)
-    if ops:
-        raise TileParseError("missing ')'", len(text))
-    return terms[0]
+            continue
+        else:  # anything else ends the innermost union, so its gluing is checked first
+            try:
+                term = union if glued is None else ComposeExpr(glued, union)
+            except ValueError as exc:
+                raise TileParseError(str(exc), semi) from None
+            if kind == ";":
+                glued, semi, union, want_term = term, at, None, True
+                continue
+            if kind == "$" and not outer:
+                break
+            if kind != ")" or not outer:
+                raise TileParseError("missing ')'" if outer else f"unexpected {kind!r}", at)
+            glued, semi, union = outer.pop()  # the closed group is a term of the enclosing one
+        union = term if union is None else UnionExpr(union, term)
+        want_term = False
+    return term
 
 
 def format_tile_expression(expr: TileExpr) -> str:
@@ -242,7 +261,7 @@ def format_tile_expression(expr: TileExpr) -> str:
             stack += [")", second, "("] if isinstance(second, ComposeExpr) else [second]
             stack += [" ; ", e.first]
         else:
-            raise TypeError(f"not a tile expression: {e!r}")
+            raise TypeError(f"not a tile expression: {type(e).__name__}")
     return "".join(parts)
 
 
@@ -277,7 +296,7 @@ def _diagram(expr: TileExpr) -> tuple[list[str], list[list[Ref]], list[Ref]]:
             stack.append((e.second, mid, 0, out))
             stack.append((e.first, src, at, mid))
         else:
-            raise TypeError(f"not a tile expression: {e!r}")
+            raise TypeError(f"not a tile expression: {type(e).__name__}")
     return tags, inputs, outputs
 
 
@@ -440,7 +459,7 @@ def marked_point_count(tile: TileExpr) -> int:
         elif isinstance(e, ComposeExpr):
             stack += (e.first, e.second)
         elif not isinstance(e, IdentityExpr):
-            raise TypeError(f"not a tile expression: {e!r}")
+            raise TypeError(f"not a tile expression: {type(e).__name__}")
     return count
 
 

@@ -106,6 +106,8 @@ def test_parse_empty_word():
         ("b3: s0", 4),
         ("b3: t2", 4),
         ("b3: s1^2", 4),
+        ("b３: s１", 0),
+        ("b3: s１", 4),
     ],
 )
 def test_parse_errors_carry_positions(text, position):

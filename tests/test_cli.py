@@ -188,13 +188,14 @@ def test_artin_unknown_generator_exits_2(capsys):
         ("braid", "trivial", "b3: e s1"),
         ("hom", "omega-gamma", "--genus", "1", "b2: s1", '[[], [["1","0"],["0","1"]]]'),
         ("hom", "theta", "--tile", WITNESS_TILE, ""),
+        ("hom", "omega-gamma", "--genus", "1", "b1: e", '[[["1_0","0"],["0","1"]]]'),
     ],
     ids=["not-json", "graph-empty-object", "graph-list", "graph-infinite-points", "presentation-empty-object",
          "blocks-not-matrices", "blocks-zero-denominator", "graph-bool-points", "graph-string-points",
          "graph-float-edge-end", "presentation-float-letter", "presentation-string-generators",
          "presentation-number-generators", "presentation-object-fields", "graph-negative-points",
          "graph-half-edge-out-of-range", "blocks-not-a-list", "letter-after-e", "blocks-empty-block",
-         "blank-edge-word"],
+         "blank-edge-word", "blocks-underscore-numeral"],
 )
 def test_artin_bad_graph_json_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -202,6 +203,8 @@ def test_artin_bad_graph_json_exits_2(capsys, argv):
     assert err.startswith("error:")
     if "--presentation" in argv and argv[-1] != "{}":
         assert "presentation JSON field" in err
+    if "1_0" in argv[-1]:
+        assert err.startswith("error: invalid scalar '1_0'")
 
 
 @pytest.mark.parametrize("flag", ["--graph", "--presentation"])

@@ -137,7 +137,7 @@ def test_degenerate_shapes():
 def test_scalar_text_round_trip():
     for x in (0, -7, Fraction(3, 4), Fraction(-1, 2)):
         assert parse_scalar(format_scalar(x)) == x
-    for bad in ("1.5", "1/0", "1/2/3", "", 1, None):
+    for bad in ("1.5", "1/0", "1/2/3", "", 1, None, "1_0", " 1", "+3", "1/-2", "٣/4"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
 

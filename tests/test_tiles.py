@@ -85,6 +85,18 @@ def test_parse_round_trip_over_enumeration():
         ("1_x", 0),
         ("F P", 2),
         ("", 0),
+        ("1_３", 0),
+        # error order: a pending gluing is checked before a later syntax error or a missing ')'
+        ("P ; D )", 2),
+        ("(P ; D", 3),
+        ("((F ; P", 4),
+        ("(1_2 ; F) + P", 5),
+        ("F ; 1_2 D", 2),
+        ("(F F", 3),
+        ("F )", 2),
+        ("( )", 2),
+        ("F ; (F ; F", 10),
+        ("F + ;", 4),
     ],
 )
 def test_parse_errors_carry_positions(text, position):
@@ -338,8 +350,11 @@ def _deep_cases():
 
 @pytest.mark.parametrize("text,formatted,nf_text,points,edges,halves", _deep_cases())
 def test_deep_inputs_through_the_library(text, formatted, nf_text, points, edges, halves):
-    # compares text only: dataclass == on the expressions recurses
     expr = parse_tile_expression(text)
+    again = parse_tile_expression(formatted)
+    assert expr == again and not expr != again
+    assert hash(expr) == hash(again)
+    assert repr(expr) == f"parse_tile_expression({formatted!r})"
     nf = normal_form(expr)
     graph = marked_graph_of(nf)
     assert format_tile_expression(expr) == formatted
