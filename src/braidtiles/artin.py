@@ -10,20 +10,19 @@ generators renamed s1, s2, ...
 Nontriviality is certified through the Coxeter quotient (add e² = 1): the
 quotient kills information, so a word whose reflection image is not the
 identity is certainly nontrivial, while the identity image decides
-nothing.  The reflection images are integer matrices: the only Coxeter
-labels arising from graphs are 2 and 3, so -2B(a_t, a_s) is 0 or 1.
+nothing.  The reflection images are integer matrices: a graph's Coxeter
+labels, 3 for neighbouring edges and 2 otherwise, make -2B(a_t, a_s) 1 or 0.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import re
 from dataclasses import dataclass
 from typing import Iterable
 
 from .graphs import MarkedGraph, edge_neighbors
-from .linalg import ExactMatrix, json_field, json_int, json_list, rank_one_product, smith_normal_form
+from .linalg import WORD, ExactMatrix, json_field, json_int, json_list, rank_one_product, smith_normal_form
 
 Word = tuple[int, ...]
 
@@ -55,19 +54,19 @@ class Presentation:
         return w
 
     def parse_word(self, text: str) -> Word:
-        """Word from text: generator names separated by spaces, each with an
-        optional ^-1; 'e' alone is the empty word, and blank text is an error."""
-        stripped = text.strip()
-        if stripped == "e":
+        """Word from text: generator names separated by ASCII spaces, each
+        with an optional ^-1; 'e' alone is the empty word, and blank text is
+        an error."""
+        tokens = WORD.findall(text)
+        if tokens == ["e"]:
             return ()
-        if not stripped:
+        if not tokens:
             raise PresentationError("expected generator names or 'e'")
         index = {name: i + 1 for i, name in enumerate(self.generators)}
         letters: list[int] = []
-        for tok in stripped.split():
-            m = re.fullmatch(r"(.+?)(\^-1)?", tok)
-            assert m is not None
-            name, inv = m.group(1), m.group(2)
+        for tok in tokens:
+            inv = len(tok) > 3 and tok.endswith("^-1")
+            name = tok[:-3] if inv else tok
             if name not in index:
                 raise PresentationError(f"unknown generator {name!r}")
             letters.append(-index[name] if inv else index[name])
@@ -166,56 +165,46 @@ def abelianization(pres: Presentation) -> AbelianInvariants:
 
 @dataclass(frozen=True)
 class CoxeterSystem:
-    """Coxeter matrix with labels in {2, 3} off the diagonal, as produced by
-    graphs (adjacent edges 3, disjoint edges 2)."""
+    """Coxeter system of a graph's edges, kept as adjacency, not labels:
+    ``neighbors[a]`` holds the 0-based indices of the edges sharing a vertex
+    with edge a (``graphs.edge_neighbors``).  Neighbours have label 3, other
+    distinct pairs 2: the only labels that graphs produce."""
 
-    labels: tuple[tuple[int, ...], ...]
+    neighbors: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        r = len(self.labels)
-        square = all(len(row) == r for row in self.labels)
-        columns = tuple(zip(*self.labels)) if square else ()
-        for i, row in enumerate(self.labels):
-            # a row that passes at C speed is done; one that fails is walked
-            # entry by entry, so the first fault is the one reported
-            if square and row == columns[i] and row[i] == 1 and row.count(2) + row.count(3) == r - 1:
-                continue
-            if len(row) != r:
-                raise ValueError("Coxeter matrix must be square")
-            for j, m in enumerate(row):
-                if i == j and m != 1:
-                    raise ValueError("diagonal Coxeter labels must be 1")
-                if i != j and m not in (2, 3):
-                    raise ValueError(f"unsupported Coxeter label {m} at ({i + 1},{j + 1})")
-                if m != self.labels[j][i]:
-                    raise ValueError("Coxeter matrix must be symmetric")
+        object.__setattr__(self, "neighbors", tuple(map(frozenset, self.neighbors)))
+        r = len(self.neighbors)
+        for a, around in enumerate(self.neighbors):
+            for b in around:
+                if not 0 <= b < r:
+                    raise ValueError(f"neighbors[{a}] holds {b}, outside 0..{r - 1}")
+                if b == a:
+                    raise ValueError(f"neighbors[{a}] holds its own index")
+                if a not in self.neighbors[b]:
+                    raise ValueError(f"neighbors[{a}] holds {b} but neighbors[{b}] does not hold {a}")
 
     @staticmethod
     def from_graph(graph: MarkedGraph) -> "CoxeterSystem":
-        neighbors = edge_neighbors(graph.edges)
-        labels = []
-        for a, around in enumerate(neighbors):
-            row = [2] * len(neighbors)
-            for b in around:
-                row[b] = 3
-            row[a] = 1
-            labels.append(tuple(row))
-        return CoxeterSystem(tuple(labels))
+        return CoxeterSystem(edge_neighbors(graph.edges))
 
     @property
     def rank(self) -> int:
-        return len(self.labels)
+        return len(self.neighbors)
 
     def _factor(self, s: int) -> tuple[list[int], list[int]]:
         """(u, d) of the s-th simple reflection x -> x - 2B(x, a_s) a_s on
         row vectors, whose matrix I + u^T d is the identity with column s
-        replaced.  B(a_t, a_s) = -cos(pi / label) is 1, 0, -1/2 for labels
-        1, 2, 3, so u = -2B(., a_s) reads -2, 0, 1 off the integer labels,
-        and d = a_s is the basis vector at the column's only label 1."""
+        replaced.  B(a_t, a_s) = -cos(pi / label) is 1 for t = s, -1/2 for
+        a neighbour (label 3) and 0 otherwise (label 2), so u = -2B(., a_s)
+        is -2 at s, 1 at each neighbour and 0 elsewhere, and d = a_s."""
         if not (1 <= s <= self.rank):
             raise PresentationError(f"generator {s} outside 1..{self.rank}")
-        column = [row[s - 1] for row in self.labels]
-        return [{1: -2, 2: 0, 3: 1}[m] for m in column], [int(m == 1) for m in column]
+        u, d = [0] * self.rank, [0] * self.rank
+        for t in self.neighbors[s - 1]:
+            u[t] = 1
+        u[s - 1], d[s - 1] = -2, 1
+        return u, d
 
     def image(self, word: Iterable[int]) -> ExactMatrix:
         """Image of a word in the reflection representation; a generator and

@@ -36,6 +36,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .linalg import SPACE, WORD
+
 # Rewrites per word before handle reduction gives up (exit 3 in the CLI).
 # The largest counts measured sit at least 20 times below it: 1,621 over
 # the `words` benchmark workload's words at seeds 0-2, 9,712 over the 200
@@ -432,7 +434,7 @@ def wreath_multiply(
     return sigma * sigma2, nu
 
 
-_HEADER_RE = re.compile(r"^\s*b([0-9]+)\s*:")
+_HEADER_RE = re.compile(f"[{SPACE}]*b([0-9]+)[{SPACE}]*:")
 _LETTER_RE = re.compile(r"^s([0-9]+)(\^-1)?$")
 
 
@@ -445,7 +447,7 @@ def parse_braid_word(text: str) -> BraidWord:
     if n < 1:
         raise BraidParseError("strand count must be at least 1", m.start(1))
     body_start = m.end()
-    tokens = [(tok.start() + body_start, tok.group()) for tok in re.finditer(r"\S+", text[body_start:])]
+    tokens = [(tok.start(), tok.group()) for tok in WORD.finditer(text, body_start)]
     if not tokens:
         raise BraidParseError("expected letters or 'e' after the header", body_start)
     if tokens[0][1] == "e":

@@ -3,8 +3,11 @@
 Braid words use the text format ``b<n>: s1 s2^-1`` (``e`` for the empty
 word); tile expressions use atoms D, P, F, identities ``1_<n>``, ``+`` for
 side-by-side union (binds tighter) and ``;`` for gluing.  Words over a
-graph's edge generators are written ``g1 g2^-1``.  ``--json`` switches
-every subcommand to a machine-readable object on stdout.
+graph's edge generators are written ``g1 g2^-1``.  Spaces in these
+formats are ASCII (space, tab, newline, carriage return), and numerals,
+integer options (``--genus``, ``--seed``, ``--max-len``) included, are
+ASCII decimal.  ``--json`` switches every subcommand to a machine-readable
+object on stdout.
 
 Exit codes: 0 for answered queries and passing verification, 1 for a
 failing verification suite, 2 for usage, parse or input errors, 3 for an
@@ -24,7 +27,7 @@ from typing import Sequence
 
 from . import artin, braid, homs, tiles, verify
 from .graphs import MarkedGraph
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, decimal
 from .reporting import Report
 
 Result = tuple[str, object]  # (human-readable text, JSON object)
@@ -214,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
             source.add_argument("--presentation", help="presentation as JSON")
 
     def genus(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--genus", type=int, required=True)
+        p.add_argument("--genus", type=decimal, required=True)
 
     sub = group("braid", "braid word operations")
     command(sub, "reduce", _cmd_braid_reduce, "fully handle-reduce a word", "word")
@@ -253,11 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = group("verify", "verification suites")
     p = command(sub, "paper", _cmd_verify, "run the pinned verification suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=decimal, default=0)
     p = command(sub, "random", _cmd_verify, "run seeded randomized property checks")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-len", type=int, default=16, help="maximum random word length")
-    p.add_argument("--genus", type=int, default=2, help="genus for symplectic checks")
+    p.add_argument("--seed", type=decimal, default=0)
+    p.add_argument("--max-len", type=decimal, default=16, help="maximum random word length")
+    p.add_argument("--genus", type=decimal, default=2, help="genus for symplectic checks")
 
     return parser
 

@@ -49,6 +49,19 @@ def _norm(x: Scalar) -> Scalar:
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
 
 
+SPACE = " \t\n\r"  # the spaces of every text format: ASCII only, as in JSON
+WORD = re.compile(f"[^{SPACE}]+")  # a maximal run of anything else
+
+
+def decimal(text: str) -> int:
+    """Parse an ASCII decimal integer, ``-?[0-9]+``, as the CLI's integer
+    options take it; ``int`` would also take other scripts' digits, ``_``
+    and surrounding spaces.  Anything else raises ValueError."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"invalid decimal integer {text!r}")
+    return int(text)
+
+
 def parse_scalar(text: str) -> Scalar:
     """Parse "p" or "p/q" into an exact scalar: ASCII decimal numerals, a
     "-" allowed only in front of p, as ``format_scalar`` prints them.

@@ -35,6 +35,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 from .artin import Presentation, presentation_from_graph
 from .graphs import HalfEdge, MarkedGraph
+from .linalg import SPACE
 
 # ref into a diagram: ("in", i) is the 0-based global input i,
 # ("node", r) is the single output of atom instance r
@@ -184,7 +185,7 @@ def parse_tile_expression(text: str) -> TileExpr:
     i = 0
     while i < len(text):
         ch = text[i]
-        if ch.isspace():
+        if ch in SPACE:
             i += 1
             continue
         if ch in "DPF;+()":

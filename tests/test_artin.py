@@ -71,6 +71,11 @@ def test_word_parse_and_format():
     p = braid_presentation(3)
     assert p.parse_word("s1 s2^-1") == (1, -2)
     assert p.parse_word("e") == ()
+    assert p.parse_word("\ts1\r\ns2^-1\n") == (1, -2)  # any of the ASCII spaces " \t\n\r" separate
+    assert p.parse_word("\ne\t") == ()
+    for bad in ("s1\u3000s2", "\u3000e", "s1\x0b"):  # other spaces are part of a name
+        with pytest.raises(PresentationError, match="unknown generator"):
+            p.parse_word(bad)
     assert p.format_word((1, -2)) == "s1 s2^-1"
     assert p.format_word(()) == "e"
     with pytest.raises(PresentationError):
@@ -270,35 +275,55 @@ def test_disjoint_edges_give_rank_two():
 
 # -- reflection certificates -------------------------------------------------------
 
+def _label(cox, i, j):
+    """Coxeter label of generators i and j (0-based) read off the adjacency:
+    1 on the diagonal, 3 for neighbours, 2 otherwise."""
+    return 1 if i == j else 3 if j in cox.neighbors[i] else 2
+
+
 def test_coxeter_labels_from_graph():
     cox = CoxeterSystem.from_graph(WITNESS_GRAPH)
     assert cox.rank == 4
+    assert cox.neighbors == (frozenset({1}), frozenset({0, 2, 3}), frozenset({1, 3}), frozenset({1, 2}))
     # adjacent edge pairs get label 3, disjoint pairs label 2
-    assert cox.labels[0][1] == 3
-    assert cox.labels[0][2] == 2
-    assert all(cox.labels[i][i] == 1 for i in range(4))
+    assert _label(cox, 0, 1) == 3
+    assert _label(cox, 0, 2) == 2
+    assert all(_label(cox, i, i) == 1 for i in range(4))
 
 
 def test_coxeter_validation():
-    with pytest.raises(ValueError, match="must be symmetric"):
-        CoxeterSystem(((1, 2), (3, 1)))
-    with pytest.raises(ValueError, match="diagonal Coxeter labels must be 1"):
-        CoxeterSystem(((2,),))
-    with pytest.raises(ValueError, match=r"unsupported Coxeter label 7 at \(1,2\)"):
-        CoxeterSystem(((1, 7), (7, 1)))  # only labels 2 and 3 are supported
-    with pytest.raises(ValueError, match="must be square"):
-        CoxeterSystem(((1, 2), (2,)))
-    # the first fault is reported after rows that pass whole
-    with pytest.raises(ValueError, match="diagonal Coxeter labels must be 1"):
-        CoxeterSystem(((1, 2, 2), (2, 1, 3), (2, 3, 2)))
-    with pytest.raises(ValueError, match=r"unsupported Coxeter label 4 at \(2,3\)"):
-        CoxeterSystem(((1, 2, 2), (2, 1, 4), (2, 4, 1)))
-    assert CoxeterSystem(((1, 2, 3), (2, 1, 3), (3, 3, 1))).rank == 3
+    cox = CoxeterSystem(({2}, [2], (0, 1)))  # any iterables, kept as frozensets
+    assert cox.rank == 3
+    assert cox.neighbors == (frozenset({2}), frozenset({2}), frozenset({0, 1}))
+    assert [[_label(cox, i, j) for j in range(3)] for i in range(3)] == [[1, 2, 3], [2, 1, 3], [3, 3, 1]]
+    assert cox == CoxeterSystem((frozenset({2}), frozenset({2}), frozenset({0, 1})))
+    assert CoxeterSystem(()).rank == 0
+    assert CoxeterSystem(((), ())).rank == 2
+
+
+def test_coxeter_rejects_an_asymmetric_link():
+    with pytest.raises(ValueError, match=r"neighbors\[0\] holds 1 but neighbors\[1\] does not hold 0"):
+        CoxeterSystem(({1}, set()))
+    with pytest.raises(ValueError, match=r"neighbors\[1\] holds 2 but neighbors\[2\] does not hold 1"):
+        CoxeterSystem(({1}, {0, 2}, {0}))
+
+
+def test_coxeter_rejects_a_self_link():
+    with pytest.raises(ValueError, match=r"neighbors\[0\] holds its own index"):
+        CoxeterSystem(({0},))
+    with pytest.raises(ValueError, match=r"neighbors\[1\] holds its own index"):
+        CoxeterSystem(({1}, {0, 1}))
+
+
+@pytest.mark.parametrize("link", [2, -1, 10])
+def test_coxeter_rejects_a_link_out_of_range(link):
+    with pytest.raises(ValueError, match=rf"neighbors\[1\] holds {link}, outside 0\.\.1"):
+        CoxeterSystem((set(), {link}))
 
 
 def _bilinear(cox, s, t):
     """B(a_s, a_t) = -cos(pi / label): 1, 0, -1/2 for labels 1, 2, 3."""
-    return {1: Fraction(1), 2: Fraction(0), 3: Fraction(-1, 2)}[cox.labels[s - 1][t - 1]]
+    return {1: Fraction(1), 2: Fraction(0), 3: Fraction(-1, 2)}[_label(cox, s - 1, t - 1)]
 
 
 def _reflection(cox, s):
@@ -331,7 +356,7 @@ def test_reflection_orders():
     refs = [cox.image((s,)) for s in range(1, 5)]
     for i, j in itertools.combinations(range(4), 2):
         prod = refs[i] * refs[j]
-        order = cox.labels[i][j]
+        order = _label(cox, i, j)
         assert _power(prod, order).is_identity()
         assert not _power(prod, order - 1).is_identity()
 
@@ -354,10 +379,14 @@ def test_reflection_matches_bilinear_form():
 def test_coxeter_fold_matches_dense_product():
     rng = random.Random(33)
     pool = [expr for level in tiles.enumerate_trees(5) for expr in level[-30:]]
-    for expr in rng.sample(pool, 10):
-        cox = CoxeterSystem.from_graph(tiles.marked_graph_of(expr))
+    graphs = [tiles.marked_graph_of(expr) for expr in rng.sample(pool, 10)]
+    # no edges at all, and a vertex of degree 3 (all three edges pairwise neighbours)
+    graphs += [MarkedGraph(3, ()), MarkedGraph(5, ((1, 2), (1, 3), (1, 4), (4, 5)))]
+    for graph in graphs:
+        cox = CoxeterSystem.from_graph(graph)
         for _ in range(4):
-            word = tuple(rng.choice([1, -1]) * rng.randint(1, cox.rank) for _ in range(rng.randint(0, 24)))
+            length = rng.randint(0, 24) if cox.rank else 0
+            word = tuple(rng.choice([1, -1]) * rng.randint(1, cox.rank) for _ in range(length))
             dense = ExactMatrix.identity(cox.rank)
             for l in word:
                 dense = dense * (_reflection(cox, l) if l > 0 else _reflection(cox, -l).inverse())

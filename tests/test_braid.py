@@ -108,6 +108,12 @@ def test_parse_empty_word():
         ("b3: s1^2", 4),
         ("b３: s１", 0),
         ("b3: s１", 4),
+        # spaces are ASCII " \t\n\r": another space is part of a token
+        ("\u3000b3: e", 0),
+        ("b3\u3000: e", 0),
+        ("b3:\u3000e", 3),
+        ("b3: s1\u3000s1^-1", 4),
+        ("b3:\ts1\x0bs2", 4),
     ],
 )
 def test_parse_errors_carry_positions(text, position):

@@ -448,6 +448,44 @@ def test_hom_genus_below_1_exits_2_before_counting_strands(capsys, argv):
     assert err == "error: genus must be >= 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("hom", "phi", "--genus", "\u0662", "b4: s1"), "argument --genus: invalid decimal value: '\u0662'"),
+        (("hom", "phi", "--genus", "1_0", "b20: s1"), "argument --genus: invalid decimal value: '1_0'"),
+        (("verify", "random", "--seed", " 3"), "argument --seed: invalid decimal value: ' 3'"),
+        (("verify", "random", "--max-len", "+3"), "argument --max-len: invalid decimal value: '+3'"),
+        (("tile", "mcg", "F ;\u3000F"), "error: unexpected character '\\u3000' (at position 3)"),
+        (("braid", "trivial", "b3: s1\u3000s1^-1"), "error: unexpected token 's1\\u3000s1^-1' (at position 4)"),
+        (("artin", "coxeter", "--tile", "F ; F", "g1\u3000g2"), "error: unknown generator 'g1\\u3000g2'"),
+    ],
+    ids=["arabic-indic-genus", "underscored-genus", "spaced-seed", "plus-max-len", "tile-ideographic-space",
+         "braid-ideographic-space", "edge-word-ideographic-space"],
+)
+def test_non_ascii_digits_and_spaces_exit_2(capsys, argv, message):
+    # spaces are ASCII " \t\n\r" and integers ASCII decimal in every input
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.rstrip("\n").endswith(message)
+
+
+@pytest.mark.parametrize(
+    "argv, spaced",
+    [
+        (("braid", "trivial", "\tb3:\ts1\ns1^-1\r\n"), ("braid", "trivial", "b3: s1 s1^-1")),
+        (("braid", "reduce", "b4:\ts1\n\ts3^-1\r"), ("braid", "reduce", "b4: s1 s3^-1")),
+        (("artin", "coxeter", "--tile", "F\n;\tF", "\tg1\r\ng2^-1\n"), ("artin", "coxeter", "--tile", "F ; F", "g1 g2^-1")),
+        (("tile", "tree", "(((F\t+\nP)\r\n;\tP)\n+ 1_1)\t;\rP"), ("tile", "tree", WITNESS_TILE)),
+    ],
+    ids=["braid-trivial", "braid-reduce", "edge-word-and-tile", "tile"],
+)
+def test_tabs_and_newlines_separate_tokens(capsys, argv, spaced):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, *spaced)
+
+
 def _run_under_a_memory_limit(*args):
     # Run only under an address-space limit: these inputs ask for about a
     # trillion list slots, and some paths would take them one at a time.

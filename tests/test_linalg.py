@@ -10,6 +10,7 @@ from braidtiles.homs import braid_to_symplectic
 from braidtiles.linalg import (
     ExactMatrix,
     SymplecticForm,
+    decimal,
     format_scalar,
     is_symplectic,
     parse_scalar,
@@ -140,6 +141,14 @@ def test_scalar_text_round_trip():
     for bad in ("1.5", "1/0", "1/2/3", "", 1, None, "1_0", " 1", "+3", "1/-2", "٣/4"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
+
+
+def test_decimal_takes_ascii_digits_only():
+    for text, value in (("0", 0), ("-3", -3), ("0042", 42), ("10" * 20, int("10" * 20))):
+        assert decimal(text) == value
+    for bad in ("", "-", "+3", " 3", "3\n", "1_0", "\u0663", "３", "0x3", "1.0", "--3"):
+        with pytest.raises(ValueError, match="invalid decimal integer"):
+            decimal(bad)
 
 
 @pytest.mark.parametrize("obj", [1, [1], [["1", "x"]], [[1, 0]], [["1/0"]]])

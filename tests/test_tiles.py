@@ -86,6 +86,8 @@ def test_parse_round_trip_over_enumeration():
         ("F P", 2),
         ("", 0),
         ("1_３", 0),
+        ("F ;\u3000F", 3),
+        ("F\x0c; F", 1),
         # error order: a pending gluing is checked before a later syntax error or a missing ')'
         ("P ; D )", 2),
         ("(P ; D", 3),
