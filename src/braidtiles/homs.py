@@ -15,6 +15,7 @@ certify a genuine difference, which is what the discrepancy witness uses.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -53,10 +54,12 @@ def chain_classes(g: int) -> tuple[tuple[int, ...], ...]:
 # generator of genus 2..5.
 
 
-def _transvection_factor(c: tuple[int, ...]) -> tuple[list[int], tuple[int, ...]]:
-    """(u, d) with <v, c> = v . u and d = c, for v -> v + <v, c> c."""
-    # <v, c> = sum_i v[2i] c[2i+1] - v[2i+1] c[2i]
-    return [c[a + 1] if a % 2 == 0 else -c[a - 1] for a in range(len(c))], c
+def _transvection_factor(c: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """(u, d) with <v, c> = v . u and d = c, for v -> v + <v, c> c, as their
+    nonzeros (index, coefficient); a chain class has at most two."""
+    # <v, c> = sum_i v[2i] c[2i+1] - v[2i+1] c[2i]: c[a] lands in u at a ^ 1
+    d = [(a, c[a]) for a in itertools.compress(range(len(c)), c)]
+    return [(a ^ 1, y if a % 2 else -y) for a, y in d], d
 
 
 def braid_to_symplectic(g: int, word: BraidWord) -> ExactMatrix:
@@ -114,6 +117,7 @@ class EdgeTransvectionRep:
         if self.pairing.rows != e or self.pairing.cols != e:
             raise ValueError("pairing matrix must be square on the edge set")
         neighbors = edge_neighbors(self.edges)
+        object.__setattr__(self, "_neighbors", neighbors)  # not a field: equality is by edges and pairing
         rows, columns = self.pairing.entries, tuple(zip(*self.pairing.entries))
         for a, row in enumerate(rows):
             # a row that passes at C speed is done; one that fails is walked
@@ -144,13 +148,15 @@ class EdgeTransvectionRep:
                 rows[a][b] = 1 if a < b else -1
         return EdgeTransvectionRep(graph.edges, ExactMatrix.from_rows(rows, cols=e))
 
-    def _factor(self, index: int) -> tuple[list[int], list[int]]:
-        """(u, d) of the transvection along edge ``index`` (1-based): the
-        pairing column of the edge and its basis vector."""
+    def _factor(self, index: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """(u, d) of the transvection along edge ``index`` (1-based), as their
+        nonzeros (index, coefficient): the pairing column of the edge, read at
+        its neighbours only, and its basis vector."""
         e = len(self.edges)
         if not (1 <= index <= e):
             raise ValueError(f"edge index {index} outside 1..{e}")
-        return [row[index - 1] for row in self.pairing.entries], [int(b == index - 1) for b in range(e)]
+        a, rows = index - 1, self.pairing.entries
+        return [(b, rows[b][a]) for b in self._neighbors[a]], [(a, 1)]
 
     def image(self, word: Iterable[int]) -> ExactMatrix:
         return rank_one_product(len(self.edges), self._factor, word)

@@ -5,16 +5,23 @@ vectors from the right, so the matrix of "f then g" is ``matrix(f) *
 matrix(g)`` and every representation of a word w1*w2 is the product of
 the representations of w1 and w2 in that order.
 
-Matrices reach 79x79 (the 79-edge chain).  Word images are not dense
-products: ``rank_one_product`` folds their rank-one letters, reading only
-nonzero entries; the dense product and ``inverse`` are the exact reference.
-``is_symplectic`` pairs rows through ``SymplecticForm.pairing`` and takes
-no matrix product; ``homs._transvection_factor`` writes the same pairing as
-a dot product with a rearranged class.
-Integer-valued entries are stored as ``int`` and only genuinely fractional
-entries as ``Fraction``, and no floating point is involved anywhere.
-``smith_normal_form`` returns only the Smith diagonal, which is unique; it
-keeps no unimodular certificate.
+Word images are not dense products: ``rank_one_product`` folds their
+rank-one letters, and each letter's factor comes as its nonzeros, so a
+letter costs by its generator's degree, not by n.  A letter whose d has one
+nonzero rewrites one column as a combination of columns; a reflection is
+column s := (sum of the neighbour columns) - column s.
+``rank_one_is_identity`` runs the same fold on the columns a word rewrites
+and compares only those with unit vectors.  The dense product and
+``inverse`` are the exact reference.  ``is_symplectic`` pairs rows through
+``SymplecticForm.pairing`` and takes no matrix product;
+``homs._transvection_factor`` writes the same pairing as a dot product with
+a rearranged class.  Integer-valued entries are stored as ``int`` and only
+genuinely fractional entries as ``Fraction``, and no floating point is
+involved anywhere.  ``smith_normal_form`` returns only the Smith diagonal,
+which is unique; it keeps no unimodular certificate.  It clears unit pivots
+on sparse rows first, shortest row first, and hands what is left to a dense
+loop, so a graph's relator matrix (1,798 x 1,799 on the depth-900 chain) is
+eliminated by its nonzeros.
 
 Per-entry work runs at C speed where the entries allow it, with the same
 results as entry-by-entry code: a row of exact ``int`` entries is stored
@@ -27,6 +34,7 @@ divides every entry, skips the searches for what it does not divide.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import operator
 import re
@@ -217,60 +225,122 @@ def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(unit[n - i:2 * n - i] for i in range(n))
 
 
-def _add_multiple(w: Sequence[int], c: int, v: Sequence[int]) -> list[int]:
-    """w + c v entrywise; for c = 1 or -1 the sum is taken at C speed."""
-    if c == 1:
-        return list(map(operator.add, w, v))
-    if c == -1:
-        return list(map(operator.sub, w, v))
-    return [a + c * b for a, b in zip(w, v)]
+def _adder(c: int) -> Callable[[int, int], int]:
+    """(a, b) -> a + c b, as ``operator.add`` or ``operator.sub`` for c = 1
+    or -1, so that mapping it over two rows or columns runs at C speed."""
+    if c == 1 or c == -1:
+        return operator.add if c == 1 else operator.sub
+    return lambda a, b: a + c * b
 
 
-def _letter_terms(u: Sequence[int], d: Sequence[int]) -> tuple[tuple, tuple]:
-    """Terms (k, x, rest, sd) of the letters +i and -i of the factor
-    I + s u^T d: R u^T is x times column k of R plus c times column k' for
-    each (k', c) in rest, and column j gains y times that for each (j, y) in
-    sd.  Only nonzero entries are kept.  A coefficient 1 or -1 of u leads
-    when there is one, and its sign moves into sd, so that R u^T starts
-    from the column itself; sd also carries the sign s of the letter.  A
-    factor with u or d zero is the identity and gets an empty sd."""
-    u_terms = sorted(((k, x) for k, x in enumerate(u) if x), key=lambda term: abs(term[1]) != 1)
-    d_terms = [(j, y) for j, y in enumerate(d) if y]
-    if not (u_terms and d_terms):
-        return (0, 1, [], []), (0, 1, [], [])
-    (k, x), rest = u_terms[0], u_terms[1:]
-    if x in (1, -1):
-        rest, d_terms, x = [(k2, x * c) for k2, c in rest], [(j, x * y) for j, y in d_terms], 1
-    return (k, x, rest, d_terms), (k, x, rest, [(j, -y) for j, y in d_terms])
+Terms = Sequence[tuple[int, int]]  # the nonzeros (index, coefficient) of a vector
+
+
+def _letter_terms(u: Terms, d: Terms, s: int) -> tuple[int, int, list, int, list]:
+    """Program (k, x, rest, j, sd) of the letter of sign s of the factor
+    I + s u^T d, from the nonzeros of u and d, both nonempty.  The program
+    forms the combination of x times column k plus c times column k' for
+    each term of rest, held as (k', ``_adder(c)``), and leads with a
+    coefficient 1 when there is one, so that it starts from the column
+    itself.
+
+    When d has one nonzero (j, y), the letter rewrites column j alone, as
+    that combination: column k gets s y u_k, and column j gets 1 more; sd is
+    empty.  So a reflection, with u -2 at j and 1 at each neighbour, makes
+    column j := (sum of the neighbour columns) - column j, all in passes by
+    1 and -1.  A combination whose coefficients are all 0 is 0 times column
+    j.  Otherwise the combination is R u^T, and column j gains y times it
+    for each nonzero (j, y) of d, held in sd as (j, ``_adder(s y)``); a
+    leading coefficient -1 of u moves its sign into sd too."""
+    if len(d) == 1:
+        ((j, y),) = d
+        coefficients = {j: 1}
+        for k, x in u:
+            coefficients[k] = coefficients.get(k, 0) + s * y * x
+        terms = [term for term in coefficients.items() if term[1]] or [(j, 0)]
+        sd: list = []
+    else:
+        terms, j, sd = list(u), -1, d
+    cs = [c for _, c in terms]
+    i = cs.index(1) if 1 in cs else cs.index(-1) if -1 in cs else 0
+    (k, x), rest = terms[i], terms[:i] + terms[i + 1:]
+    if sd and x == -1:
+        rest, x, s = [(k2, -c) for k2, c in rest], 1, -s
+    return k, x, [(k2, _adder(c)) for k2, c in rest], j, [(j2, _adder(s * y)) for j2, y in sd]
+
+
+def _fold(
+    cols: list[Sequence[int]] | dict[int, Sequence[int]],
+    factor: Callable[[int], tuple[Terms, Terms]],
+    word: Iterable[int],
+) -> None:
+    """Multiply the columns ``cols`` of a product on the right by the letters
+    of ``word`` in order, rewriting them in place (see ``rank_one_product``).
+    Each generator's factor is fetched once, and each letter's program
+    (``_letter_terms``) made once; a rewritten column is a new list, never
+    one changed in place, so columns may share one."""
+    factors: dict[int, tuple[Terms, Terms]] = {}
+    programs: dict[int, tuple] = {}
+    for l in word:
+        if l not in programs:
+            if abs(l) not in factors:
+                factors[abs(l)] = factor(abs(l))
+            u, d = factors[abs(l)]
+            if not (u and d):  # the identity
+                continue
+            programs[l] = _letter_terms(u, d, 1 if l > 0 else -1)
+        k, x, rest, j, d = programs[l]
+        ru = cols[k] if x == 1 else [x * b for b in cols[k]]
+        for k, add in rest:
+            ru = list(map(add, ru, cols[k]))
+        if d:
+            for j, add in d:
+                cols[j] = list(map(add, cols[j], ru))
+        else:
+            cols[j] = ru
 
 
 def rank_one_product(
-    n: int, factor: Callable[[int], tuple[Sequence[int], Sequence[int]]], word: Iterable[int]
+    n: int, factor: Callable[[int], tuple[Terms, Terms]], word: Iterable[int]
 ) -> ExactMatrix:
     """Product, in word order, of n x n integer factors I + s * u^T d acting
     on row vectors as v -> v + s (v . u) d: letter l gives (u, d) =
-    factor(|l|), fetched once per generator, and s = sign(l).  Kept by
-    columns, a factor adds s * d[j] * (R u^T) to column j of the product R
-    for each nonzero d[j].
+    factor(|l|), each as its nonzeros (index, coefficient), fetched once per
+    generator, and s = sign(l).  Kept by columns, a factor adds s * d[j] *
+    (R u^T) to column j of the product R for each nonzero d[j].
 
-    A letter makes one pass over the columns that u names to form R u^T,
-    then one pass for each nonzero of d, with the sign folded into its
-    coefficient (``_letter_terms``); zero entries of u and d are never
-    read.  Transvections and reflections have coefficients 1 and -1
-    almost everywhere, and those passes add or subtract at C speed."""
-    sparse: dict[int, tuple] = {}
+    A letter costs passes over the columns its nonzeros name, never over
+    all n (``_letter_terms``): when d has one nonzero, as for every
+    reflection and edge transvection, one combination of columns replaces
+    column j; otherwise one combination forms R u^T and one pass adds it to
+    each column d names.  Transvections and reflections have coefficients
+    1 and -1 almost everywhere, and those passes add or subtract at C
+    speed."""
     cols = list(_identity_rows(n))  # the identity's columns are its rows
-    for l in word:
-        if l not in sparse:
-            sparse[abs(l)], sparse[-abs(l)] = _letter_terms(*factor(abs(l)))
-        k, x, rest, d = sparse[l]
-        if d:
-            ru = cols[k] if x == 1 else [x * b for b in cols[k]]
-            for k, x in rest:
-                ru = _add_multiple(ru, x, cols[k])
-            for j, y in d:
-                cols[j] = _add_multiple(cols[j], y, ru)
+    _fold(cols, factor, word)
     return ExactMatrix(n, n, tuple(zip(*cols)))
+
+
+class _UnitColumns(dict):
+    """Columns of a product that starts from the n x n identity, keeping
+    only those assigned: any other column k is read as the unit vector e_k."""
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.n, self.unit = n, (0,) * n + (1,) + (0,) * n
+
+    def __missing__(self, k: int) -> tuple[int, ...]:
+        return self.unit[self.n - k:2 * self.n - k]
+
+
+def rank_one_is_identity(n: int, factor: Callable[[int], tuple[Terms, Terms]], word: Iterable[int]) -> bool:
+    """``rank_one_product(n, factor, word).is_identity()``, from the same
+    fold kept on the columns the word rewrites: every other column is a
+    unit column, and a rewritten column k is e_k when it holds 1 at k and
+    n - 1 zeros.  No identity, transpose or ExactMatrix is built."""
+    cols = _UnitColumns(n)
+    _fold(cols, factor, word)
+    return all(col[k] == 1 and col.count(0) == n - 1 for k, col in cols.items())
 
 
 @dataclass(frozen=True)
@@ -330,10 +400,58 @@ def _pivot_position(a: list[list[int]]) -> tuple[int, int]:
     return i, [*map(abs, a[i])].index(least)
 
 
-def smith_normal_form(m: ExactMatrix) -> tuple[int, ...]:
-    """Diagonal d1 | d2 | ... of the Smith normal form of an integer matrix:
-    min(rows, cols) nonnegative ints, zeros last.  The diagonal is unique,
-    so no unimodular certificate is kept.
+def _unit_pivots(rows: list[dict[int, int] | None]) -> int:
+    """Eliminate unit pivots from sparse rows (column -> nonzero entry), in
+    place, and return how many there were; a row that becomes zero, or is a
+    pivot's, is set to None.  The pivot is an entry 1 or -1 of the shortest
+    row that holds one.  It clears its column from the rows that hold it,
+    found through an index from each column to its rows; since it divides
+    every entry, column steps then clear its row without changing any other,
+    and it is recorded with its row and column dropped.  Rows are kept
+    sparse throughout, and the shortest pivot row brings the least fill-in."""
+    queue = [(len(row), r) for r, row in enumerate(rows) if 1 in map(abs, row.values())]
+    if not queue:
+        return 0
+    heapq.heapify(queue)
+    holding: dict[int, set[int]] = {}  # column -> the rows that hold it
+    for r, row in enumerate(rows):
+        for c in row:
+            holding.setdefault(c, set()).add(r)
+    count = 0
+    while queue:
+        size, r = heapq.heappop(queue)
+        pivot = rows[r]
+        if pivot is None or len(pivot) != size:  # gone, or queued again at its new size
+            continue
+        c = next((c for c, x in pivot.items() if x in (1, -1)), None)
+        if c is None:  # its units were cleared
+            continue
+        p, rows[r] = pivot[c], None
+        for c2 in pivot:
+            holding[c2].discard(r)
+        for r2 in holding.pop(c):
+            row = rows[r2]
+            f = row[c] * p  # row[c] / p, since 1 / p = p
+            for c2, x in pivot.items():
+                v = row.get(c2, 0) - f * x
+                if v:
+                    if c2 not in row:
+                        holding[c2].add(r2)
+                    row[c2] = v
+                else:
+                    del row[c2]
+                    if c2 != c:
+                        holding[c2].discard(r2)
+            if not row:
+                rows[r2] = None
+            elif 1 in map(abs, row.values()):
+                heapq.heappush(queue, (len(row), r2))
+        count += 1
+    return count
+
+
+def _dense_diagonal(a: list[list[int]]) -> list[int]:
+    """The nonzero Smith diagonal of the matrix with the nonzero rows ``a``.
 
     Each round pivots on the smallest nonzero |entry| left (ties by
     row-major position, ``_pivot_position``) and clears its column and row
@@ -343,16 +461,13 @@ def smith_normal_form(m: ExactMatrix) -> tuple[int, ...]:
     zero row are dropped.  A pivot 1 or -1 divides every entry, so it leaves
     no remainder and no such row, and is recorded without looking for them.
     """
-    if not m.is_integer():
-        raise ValueError("smith_normal_form requires integer entries")
-    a = [list(row) for row in m.entries if any(row)]
     diag: list[int] = []
     while a:
         i, j = _pivot_position(a)
         p, pivot = a[i][j], a[i]
         for r, row in enumerate(a):
             if row[j] and r != i:
-                a[r] = _add_multiple(row, -(row[j] // p), pivot)
+                a[r] = list(map(_adder(-(row[j] // p)), row, pivot))
         if p != 1 and p != -1:
             if any(row[j] for row in a if row is not pivot):
                 continue
@@ -366,4 +481,27 @@ def smith_normal_form(m: ExactMatrix) -> tuple[int, ...]:
                 continue
         diag.append(abs(p))
         a = [row[:j] + row[j + 1:] for r, row in enumerate(a) if r != i and any(row)]
+    return diag
+
+
+def smith_normal_form(m: ExactMatrix) -> tuple[int, ...]:
+    """Diagonal d1 | d2 | ... of the Smith normal form of an integer matrix:
+    min(rows, cols) nonnegative ints, zeros last.  The diagonal is unique,
+    so no unimodular certificate is kept.
+
+    Unit pivots go first, on sparse rows, shortest row first
+    (``_unit_pivots``, after Dumas, Saunders and Villard, J. Symbolic
+    Comput. 32, 2001): each is a 1 on the diagonal, and a relator matrix of
+    exponent rows is nearly all of them.  What is left holds no entry 1 or
+    -1; its nonzero rows, over the columns they use, go to the dense loop
+    (``_dense_diagonal``), whose diagonal follows the 1s.
+    """
+    if not m.is_integer():
+        raise ValueError("smith_normal_form requires integer entries")
+    columns = range(m.cols)
+    rows = [dict(zip(itertools.compress(columns, row), filter(None, row))) for row in m.entries if any(row)]
+    units = _unit_pivots(rows)
+    rest = [row for row in rows if row is not None]
+    used = sorted(set().union(*rest))
+    diag = [1] * units + _dense_diagonal([[row.get(c, 0) for c in used] for row in rest])
     return tuple(diag) + (0,) * (min(m.rows, m.cols) - len(diag))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidtiles import tiles
+from braidtiles import tiles, verify
 from braidtiles.artin import (
     AbelianInvariants,
     Certificate,
@@ -258,6 +258,22 @@ def test_abelianization_against_minor_oracle():
         assert (inv.free_rank, inv.torsion) == _abelianization_oracle(pres)
 
 
+@pytest.mark.parametrize("relators, bad", [
+    (((1, 3),), 3), (((1, 2), (0,)), 0), (((2, -5, 0, 7),), -5), (((-3,),), -3),
+])
+def test_presentation_names_the_first_letter_outside_the_generators(relators, bad):
+    with pytest.raises(PresentationError, match=f"^letter {bad} outside generators 1..2$"):
+        Presentation(("a", "b"), relators)
+
+
+def test_validate_word_returns_the_word_as_a_tuple():
+    pres = Presentation(("a", "b"), ())
+    assert pres.validate_word(iter([1, -2, 2])) == (1, -2, 2)
+    assert pres.validate_word([]) == ()
+    with pytest.raises(PresentationError, match="^letter 3 outside generators 1..2$"):
+        pres.validate_word([-1, 3])
+
+
 def test_f_chains_abelianize_to_z():
     # the chain of depth k is a path on 2k - 1 edges; its relator rows are
     # e_a - e_b, so every Smith pivot is a unit
@@ -418,6 +434,24 @@ def test_certify_single_generator():
 def test_certify_rejects_letters_outside_the_generators(word):
     with pytest.raises(PresentationError):
         certify_nontrivial(WITNESS_GRAPH, word)
+
+
+def test_certify_agrees_with_the_full_image():
+    # certify folds only the columns a word rewrites; the full image decides alike
+    rng = random.Random(41)
+    chains = [tiles.marked_graph_of(tiles.parse_tile_expression(" ; ".join(["F"] * depth)))
+              for depth in range(1, 21)]
+    for graph in verify._distinct_graphs(5) + chains:
+        cox = CoxeterSystem.from_graph(graph)
+        words = [()] if not cox.rank else [
+            tuple(rng.choice([1, -1]) * rng.randint(1, cox.rank) for _ in range(rng.randint(0, 12)))
+            for _ in range(6)
+        ]
+        # a relator, a letter and its square: one inconclusive pair and one nontrivial
+        words += [(1, 2, 1, -2, -1, -2), (1,), (1, -1)] if cox.rank > 1 else []
+        for word in words:
+            want = Certificate.INCONCLUSIVE if cox.image(word).is_identity() else Certificate.NONTRIVIAL
+            assert certify_nontrivial(graph, word) is want
 
 
 def test_witness_graph_from_tile():

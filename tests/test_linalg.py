@@ -14,6 +14,7 @@ from braidtiles.linalg import (
     format_scalar,
     is_symplectic,
     parse_scalar,
+    rank_one_is_identity,
     rank_one_product,
     smith_normal_form,
 )
@@ -221,6 +222,86 @@ def test_smith_pivot_paths_match_minor_oracle(entries):
     assert units > 60 if 1 in entries else units == 0
 
 
+def _dense_smith_reference(m):
+    """The Smith diagonal by the dense loop alone, as smith_normal_form
+    computed it before unit pivots went first on sparse rows: each round
+    pivots on the smallest nonzero |entry|, ties by row-major position."""
+    def add_multiple(w, c, v):
+        return [a + c * b for a, b in zip(w, v)]
+
+    def pivot_position(a):
+        least, i = 0, -1
+        for r, row in enumerate(a):
+            m = min(map(abs, filter(None, row)), default=0)
+            if m and (m < least or not least):
+                least, i = m, r
+                if m == 1:
+                    break
+        return i, [*map(abs, a[i])].index(least)
+
+    a = [list(row) for row in m.entries if any(row)]
+    diag = []
+    while a:
+        i, j = pivot_position(a)
+        p, pivot = a[i][j], a[i]
+        for r, row in enumerate(a):
+            if row[j] and r != i:
+                a[r] = add_multiple(row, -(row[j] // p), pivot)
+        if p != 1 and p != -1:
+            if any(row[j] for row in a if row is not pivot):
+                continue
+            if not any(x % p for x in pivot):
+                offender = next((row for row in a if any(x % p for x in row)), None)
+                pivot = None if offender is None else [x + y for x, y in zip(pivot, offender)]
+            if pivot is not None:
+                a[i] = [x % p for x in pivot]
+                a[i][j] = p
+                continue
+        diag.append(abs(p))
+        a = [row[:j] + row[j + 1:] for r, row in enumerate(a) if r != i and any(row)]
+    return tuple(diag) + (0,) * (min(m.rows, m.cols) - len(diag))
+
+
+SMITH_POOLS = {
+    "units": (0, 0, 1, -1, 2, -3),
+    "minus-one": (0, 0, -1, -1, 2, 4),
+    "no-unit": (0, 0, 2, -2, 3, -4, 6, 9),
+    "mixed": (0, 0, 0, 1, -1, 2, -2, 3, 4, -5),
+}
+
+
+def test_smith_matches_the_dense_reference():
+    # unit pivots on sparse rows first must leave today's diagonal, whatever
+    # the mix of unit and non-unit pivots, zero and repeated rows, and zero
+    # columns
+    rng = random.Random(27)
+    seen = set()
+    for trial in range(2400):
+        pool = SMITH_POOLS[rng.choice(sorted(SMITH_POOLS))]
+        r, c = rng.randint(0, 7), rng.randint(1, 6)
+        rows = [[rng.choice(pool) for _ in range(c)] for _ in range(r)]
+        if rows and trial % 3 == 0:
+            rows.insert(rng.randrange(r + 1), list(rng.choice(rows)))
+        if trial % 4 == 0:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * c)
+        if trial % 5 == 0:
+            k = rng.randrange(c)
+            rows = [row[:k] + [0] + row[k + 1:] for row in rows]
+        m = ExactMatrix.from_rows(rows, cols=c)
+        diag = smith_normal_form(m)
+        assert diag == _dense_smith_reference(m), rows
+        entries = {x for row in rows for x in row}
+        seen.add("zero row" if [0] * c in rows else "no zero row")
+        seen.add("repeated row" if len({tuple(row) for row in rows}) < len(rows) else "distinct rows")
+        seen.add("zero column" if any(not any(col) for col in zip(*rows)) else "no zero column")
+        seen.add("-1" if -1 in entries else "no -1")
+        seen.add("no unit" if entries.isdisjoint({1, -1}) and entries - {0} else "a unit")
+        if any(x > 1 for x in diag):
+            seen.add("non-unit pivot after a unit" if 1 in diag else "non-unit pivots only")
+    assert {"zero row", "repeated row", "zero column", "-1", "no unit", "a unit",
+            "non-unit pivot after a unit", "non-unit pivots only"} <= seen
+
+
 def _invariant_factors(m):
     """The nonzero entries of the Smith diagonal, as abelianization keeps them."""
     return [d for d in smith_normal_form(m) if d]
@@ -254,11 +335,35 @@ def _sparse_vector(rng, n, size, values):
     return out
 
 
+def _nonzeros(v):
+    return [(k, x) for k, x in enumerate(v) if x]
+
+
+def _dense_rank_one_product(n, pairs, word):
+    """The product of the dense factors I + sign(l) u^T d, one matrix product a letter."""
+    dense = ExactMatrix.identity(n)
+    for l in word:
+        u, d = pairs[abs(l)]
+        s = 1 if l > 0 else -1
+        dense = dense * ExactMatrix.from_rows(
+            [[(1 if a == b else 0) + s * u[a] * d[b] for b in range(n)] for a in range(n)], cols=n
+        )
+    return dense
+
+
+def _zero_combination(u, d, s):
+    """Whether a letter with one nonzero in d rewrites its column as 0."""
+    (j,) = [j for j, y in enumerate(d) if y]
+    return all(s * d[j] * x + (k == j) == 0 for k, x in enumerate(u))
+
+
 def test_rank_one_product_matches_dense_factors():
     # letter l is the factor I + sign(l) u^T d of generator |l|, whether or
-    # not d . u = 0; each generator's (u, d) is requested once
+    # not d . u = 0, with u and d handed over as their nonzeros; each
+    # generator's (u, d) is requested once
     rng = random.Random(5)
     seen = set()
+    cases = []
     for _ in range(300):
         n, gens = rng.randint(0, 8), rng.randint(1, 3)
         pairs = {
@@ -266,30 +371,40 @@ def test_rank_one_product_matches_dense_factors():
                 _sparse_vector(rng, n, rng.choice([0, 1, 2]), [1, -1, 2, -2]))
             for i in range(1, gens + 1)
         }
-        word = [rng.choice([1, -1]) * rng.randint(1, gens) for _ in range(rng.randint(0, 8))]
+        cases.append((n, pairs, [rng.choice([1, -1]) * rng.randint(1, gens) for _ in range(rng.randint(0, 8))]))
+    # a one-column letter whose combination is all 0: I - e_1^T e_1 clears column 1,
+    # alone and after letters that filled it
+    cases.append((3, {1: ([0, 1, 0], [0, 1, 0]), 2: ([1, 0, 2], [0, 1, 1])}, [2, -1, 2, -2, -1, 1]))
+    for n, pairs, word in cases:
         requested = []
 
         def factor(i):
             requested.append(i)
-            return pairs[i]
+            u, d = pairs[i]
+            return _nonzeros(u), _nonzeros(d)
 
-        dense = ExactMatrix.identity(n)
         for l in word:
             u, d = pairs[abs(l)]
             s = 1 if l > 0 else -1
-            dense = dense * ExactMatrix.from_rows(
-                [[(1 if a == b else 0) + s * u[a] * d[b] for b in range(n)] for a in range(n)], cols=n
-            )
             seen.add((sum(map(bool, u)), sum(map(bool, d))))
             seen.update(("u", x) for x in u if x)
             seen.update(("d", s * y) for y in d if y)
             seen.add(("d.u", sum(x * y for x, y in zip(u, d)) != 0))
+            if sum(map(bool, d)) == 1:
+                seen.add(("zero column", _zero_combination(u, d, s)))
+        dense = _dense_rank_one_product(n, pairs, word)
         assert rank_one_product(n, factor, word) == dense
         assert sorted(requested) == sorted(set(map(abs, word)))
-    # every support size, both signs of every coefficient, and d . u zero or not
+        # the identity test folds only the columns the word rewrites
+        assert rank_one_is_identity(n, factor, word) is dense.is_identity()
+        seen.add(("identity", dense.is_identity(), len(word) > 0))
+    # every support size, both signs of every coefficient, d . u zero or not,
+    # and one-column letters whose combination is 0 or not
     assert {(a, b) for a in (0, 1, 2, 3, 5) for b in (0, 1, 2)} <= seen
     assert {("u", x) for x in (1, -1, 2, -2)} | {("d", y) for y in (1, -1, 2, -2)} <= seen
     assert {("d.u", False), ("d.u", True)} <= seen
+    assert {("zero column", False), ("zero column", True)} <= seen
+    assert {("identity", True, True), ("identity", False, True)} <= seen
 
 
 # -- symplectic form ----------------------------------------------------------

@@ -107,7 +107,7 @@ def _square_each_transvection(real):
     """d doubled: the square of each transvection, which is still symplectic."""
     def squared(c):
         u, d = real(c)
-        return u, tuple(2 * x for x in d)
+        return u, [(j, 2 * y) for j, y in d]
     return squared
 
 
