@@ -18,18 +18,18 @@ and compares only those with unit vectors.  The dense product and
 a rearranged class.  Integer-valued entries are stored as ``int`` and only
 genuinely fractional entries as ``Fraction``, and no floating point is
 involved anywhere.  ``smith_normal_form`` returns only the Smith diagonal,
-which is unique; it keeps no unimodular certificate.  It clears unit pivots
-on sparse rows first, shortest row first, and hands what is left to a dense
-loop, so a graph's relator matrix (1,798 x 1,799 on the depth-900 chain) is
-eliminated by its nonzeros.
+which is unique; it keeps no unimodular certificate.  One elimination loop
+on sparse rows makes it, pivoting on the smallest |entry| in the shortest
+row that holds it, so a graph's relator matrix (1,798 x 1,799 on the
+depth-900 chain) is eliminated by its nonzeros.
 
 Per-entry work runs at C speed where the entries allow it, with the same
 results as entry-by-entry code: a row of exact ``int`` entries is stored
 as it is after one type check, rows are always tuples so whole rows
-compare at once, an update by a coefficient 1 or -1 (nearly every one that
-transvections, reflections and unit Smith pivots make) is a ``map`` of
-``operator.add`` or ``operator.sub``, and a Smith pivot 1 or -1, which
-divides every entry, skips the searches for what it does not divide.
+compare at once, and an update by a coefficient 1 or -1 (nearly every one
+that transvections and reflections make) is a ``map`` of ``operator.add``
+or ``operator.sub``.  A Smith pivot 1 or -1, which divides every entry, is
+recorded without looking for what it does not divide.
 """
 
 from __future__ import annotations
@@ -385,53 +385,44 @@ def is_symplectic(m: ExactMatrix, form: SymplecticForm) -> bool:
     )
 
 
-def _pivot_position(a: list[list[int]]) -> tuple[int, int]:
-    """Row and column of the smallest nonzero |entry|, the first in
-    row-major order among equals.  Each row's least |entry| is taken at C
-    speed, and the search stops at the first row that holds a 1 or -1:
-    nothing is smaller, and no earlier entry is as small."""
-    least, i = 0, -1
-    for r, row in enumerate(a):
-        m = min(map(abs, filter(None, row)), default=0)
-        if m and (m < least or not least):
-            least, i = m, r
-            if m == 1:
-                break
-    return i, [*map(abs, a[i])].index(least)
+def _smith_diagonal(rows: list[dict[int, int] | None]) -> list[int]:
+    """The nonzero Smith diagonal of the nonzero sparse rows ``rows``
+    (column -> nonzero entry), eliminated in place; a row that becomes zero,
+    or is a recorded pivot's, is set to None.
 
-
-def _unit_pivots(rows: list[dict[int, int] | None]) -> int:
-    """Eliminate unit pivots from sparse rows (column -> nonzero entry), in
-    place, and return how many there were; a row that becomes zero, or is a
-    pivot's, is set to None.  The pivot is an entry 1 or -1 of the shortest
-    row that holds one.  It clears its column from the rows that hold it,
-    found through an index from each column to its rows; since it divides
-    every entry, column steps then clear its row without changing any other,
-    and it is recorded with its row and column dropped.  Rows are kept
-    sparse throughout, and the shortest pivot row brings the least fill-in."""
-    queue = [(len(row), r) for r, row in enumerate(rows) if 1 in map(abs, row.values())]
-    if not queue:
-        return 0
-    heapq.heapify(queue)
+    Each round pivots on the smallest |entry| left, in the shortest row that
+    holds it: a heap keyed (least |entry|, length, row) orders the rows, a
+    row that changes is queued again at its new key, and an entry whose row
+    no longer has that key is skipped.  The pivot p clears its column modulo
+    p from the rows that hold it, found through an index from each column to
+    its rows.  A pivot 1 or -1 divides every entry, so column steps then
+    clear its row without changing any other, and it is recorded at once.
+    Any other pivot leaves a smaller entry to pivot on next when a remainder
+    is left in its column, when its row has an entry p does not divide
+    (reduced mod p by column steps), or when another row has one (added to
+    the pivot row, then reduced); |p| is recorded only when none of these
+    holds.  Rows stay sparse throughout, and the shortest pivot row brings
+    the least fill-in (Dumas, Saunders and Villard, J. Symbolic Comput. 32,
+    2001)."""
     holding: dict[int, set[int]] = {}  # column -> the rows that hold it
     for r, row in enumerate(rows):
         for c in row:
             holding.setdefault(c, set()).add(r)
-    count = 0
+    queue = [(min(map(abs, row.values())), len(row), r) for r, row in enumerate(rows)]
+    heapq.heapify(queue)
+    diag: list[int] = []
     while queue:
-        size, r = heapq.heappop(queue)
+        least, size, r = heapq.heappop(queue)
         pivot = rows[r]
-        if pivot is None or len(pivot) != size:  # gone, or queued again at its new size
+        if pivot is None or len(pivot) != size:  # stale: gone, or its length changed
             continue
-        c = next((c for c, x in pivot.items() if x in (1, -1)), None)
-        if c is None:  # its units were cleared
+        c = next((c for c, x in pivot.items() if x == least or x == -least), None)
+        if c is None:  # stale: its least |entry| changed
             continue
-        p, rows[r] = pivot[c], None
-        for c2 in pivot:
-            holding[c2].discard(r)
-        for r2 in holding.pop(c):
+        p = pivot[c]
+        for r2 in holding[c] - {r}:
             row = rows[r2]
-            f = row[c] * p  # row[c] / p, since 1 / p = p
+            f = row[c] // p
             for c2, x in pivot.items():
                 v = row.get(c2, 0) - f * x
                 if v:
@@ -440,47 +431,32 @@ def _unit_pivots(rows: list[dict[int, int] | None]) -> int:
                     row[c2] = v
                 else:
                     del row[c2]
-                    if c2 != c:
-                        holding[c2].discard(r2)
-            if not row:
+                    holding[c2].discard(r2)
+            if row:
+                heapq.heappush(queue, (min(map(abs, row.values())), len(row), r2))
+            else:
                 rows[r2] = None
-            elif 1 in map(abs, row.values()):
-                heapq.heappush(queue, (len(row), r2))
-        count += 1
-    return count
-
-
-def _dense_diagonal(a: list[list[int]]) -> list[int]:
-    """The nonzero Smith diagonal of the matrix with the nonzero rows ``a``.
-
-    Each round pivots on the smallest nonzero |entry| left (ties by
-    row-major position, ``_pivot_position``) and clears its column and row
-    modulo the pivot.  A remainder, or a row with an entry the pivot does
-    not divide added to the pivot row, leaves a smaller entry to pivot on
-    next; otherwise |pivot| is recorded and its row, its column and every
-    zero row are dropped.  A pivot 1 or -1 divides every entry, so it leaves
-    no remainder and no such row, and is recorded without looking for them.
-    """
-    diag: list[int] = []
-    while a:
-        i, j = _pivot_position(a)
-        p, pivot = a[i][j], a[i]
-        for r, row in enumerate(a):
-            if row[j] and r != i:
-                a[r] = list(map(_adder(-(row[j] // p)), row, pivot))
         if p != 1 and p != -1:
-            if any(row[j] for row in a if row is not pivot):
+            if len(holding[c]) > 1:  # a remainder is left in column c
+                heapq.heappush(queue, (least, size, r))
                 continue
-            # Column j is now p at row i alone, so column steps change only row i.
-            if not any(x % p for x in pivot):
-                offender = next((row for row in a if any(x % p for x in row)), None)
-                pivot = None if offender is None else [x + y for x, y in zip(pivot, offender)]
-            if pivot is not None:
-                a[i] = [x % p for x in pivot]
-                a[i][j] = p
+            # Column c is now p at row r alone, so column steps change only row r.
+            if not any(x % p for x in pivot.values()):
+                offender = next((row for row in rows if row and any(x % p for x in row.values())), None)
+                if offender is not None:
+                    pivot = pivot | {c2: pivot.get(c2, 0) + x for c2, x in offender.items()}
+            if any(x % p for x in pivot.values()):
+                for c2 in rows[r]:
+                    holding[c2].discard(r)
+                rows[r] = pivot = {c2: x % p for c2, x in pivot.items() if x % p} | {c: p}
+                for c2 in pivot:
+                    holding[c2].add(r)
+                heapq.heappush(queue, (min(map(abs, pivot.values())), len(pivot), r))
                 continue
         diag.append(abs(p))
-        a = [row[:j] + row[j + 1:] for r, row in enumerate(a) if r != i and any(row)]
+        rows[r] = None
+        for c2 in pivot:
+            holding[c2].discard(r)
     return diag
 
 
@@ -489,19 +465,14 @@ def smith_normal_form(m: ExactMatrix) -> tuple[int, ...]:
     min(rows, cols) nonnegative ints, zeros last.  The diagonal is unique,
     so no unimodular certificate is kept.
 
-    Unit pivots go first, on sparse rows, shortest row first
-    (``_unit_pivots``, after Dumas, Saunders and Villard, J. Symbolic
-    Comput. 32, 2001): each is a 1 on the diagonal, and a relator matrix of
-    exponent rows is nearly all of them.  What is left holds no entry 1 or
-    -1; its nonzero rows, over the columns they use, go to the dense loop
-    (``_dense_diagonal``), whose diagonal follows the 1s.
+    The nonzero rows, as sparse rows, go to one elimination loop
+    (``_smith_diagonal``), smallest |entry| first, shortest row first among
+    equals; a relator matrix of exponent rows is eliminated by unit pivots
+    nearly all the way.
     """
     if not m.is_integer():
         raise ValueError("smith_normal_form requires integer entries")
     columns = range(m.cols)
     rows = [dict(zip(itertools.compress(columns, row), filter(None, row))) for row in m.entries if any(row)]
-    units = _unit_pivots(rows)
-    rest = [row for row in rows if row is not None]
-    used = sorted(set().union(*rest))
-    diag = [1] * units + _dense_diagonal([[row.get(c, 0) for c in used] for row in rest])
+    diag = _smith_diagonal(rows)
     return tuple(diag) + (0,) * (min(m.rows, m.cols) - len(diag))

@@ -173,10 +173,12 @@ def test_str_rendering():
 
 # expected diagonals cross-checked against an independent implementation
 SNF_CASES = [
-    ([[2, 0], [0, 3]], [1, 6]),
+    ([[2, 0], [0, 3]], [1, 6]),  # the other row's 3 is added to the pivot row
     ([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], [2, 2, 156]),
     ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [1, 3, 0]),
     ([[0, 0], [0, 0]], [0, 0]),
+    ([[2], [3]], [1]),  # a remainder 1 is left in the pivot's column
+    ([[2, 3]], [1]),  # the pivot row is reduced mod 2 to [2, 1]
 ]
 
 
@@ -207,8 +209,8 @@ def test_smith_random_properties():
 
 
 @pytest.mark.parametrize("entries", [
-    (0, 0, -9, -6, -4, -2, 2, 3, 4, 6, 10, 15),  # no unit: every pivot search looks at every row
-    (0, 1, -1, 1, -1, 2),  # units nearly everywhere: the search stops at the first one
+    (0, 0, -9, -6, -4, -2, 2, 3, 4, 6, 10, 15),  # no unit: every pivot is reduced or recorded by the non-unit rules
+    (0, 1, -1, 1, -1, 2),  # units nearly everywhere: the heap's least key is a unit, recorded at once
 ], ids=["no-unit", "units"])
 def test_smith_pivot_paths_match_minor_oracle(entries):
     rng = random.Random(11)
@@ -223,9 +225,9 @@ def test_smith_pivot_paths_match_minor_oracle(entries):
 
 
 def _dense_smith_reference(m):
-    """The Smith diagonal by the dense loop alone, as smith_normal_form
-    computed it before unit pivots went first on sparse rows: each round
-    pivots on the smallest nonzero |entry|, ties by row-major position."""
+    """The Smith diagonal by a dense loop that pivots on the smallest
+    nonzero |entry|, ties by row-major position, not by the heap order
+    (least |entry|, row length, row) that smith_normal_form takes."""
     def add_multiple(w, c, v):
         return [a + c * b for a, b in zip(w, v)]
 
@@ -267,30 +269,32 @@ SMITH_POOLS = {
     "minus-one": (0, 0, -1, -1, 2, 4),
     "no-unit": (0, 0, 2, -2, 3, -4, 6, 9),
     "mixed": (0, 0, 0, 1, -1, 2, -2, 3, 4, -5),
+    "wide": tuple(range(-12, 13)),
 }
 
 
 def test_smith_matches_the_dense_reference():
-    # unit pivots on sparse rows first must leave today's diagonal, whatever
-    # the mix of unit and non-unit pivots, zero and repeated rows, and zero
-    # columns
+    # pivots in heap order on sparse rows must leave the dense reference's
+    # diagonal, whatever the mix of unit and non-unit pivots, zero and
+    # repeated rows, and zero columns
     rng = random.Random(27)
     seen = set()
     for trial in range(2400):
         pool = SMITH_POOLS[rng.choice(sorted(SMITH_POOLS))]
-        r, c = rng.randint(0, 7), rng.randint(1, 6)
+        r, c = rng.randint(0, 7), rng.randint(0, 6)
         rows = [[rng.choice(pool) for _ in range(c)] for _ in range(r)]
         if rows and trial % 3 == 0:
             rows.insert(rng.randrange(r + 1), list(rng.choice(rows)))
         if trial % 4 == 0:
             rows.insert(rng.randrange(len(rows) + 1), [0] * c)
-        if trial % 5 == 0:
+        if trial % 5 == 0 and c:
             k = rng.randrange(c)
             rows = [row[:k] + [0] + row[k + 1:] for row in rows]
         m = ExactMatrix.from_rows(rows, cols=c)
         diag = smith_normal_form(m)
         assert diag == _dense_smith_reference(m), rows
         entries = {x for row in rows for x in row}
+        seen.add("no column" if not c else "columns")
         seen.add("zero row" if [0] * c in rows else "no zero row")
         seen.add("repeated row" if len({tuple(row) for row in rows}) < len(rows) else "distinct rows")
         seen.add("zero column" if any(not any(col) for col in zip(*rows)) else "no zero column")
@@ -298,7 +302,7 @@ def test_smith_matches_the_dense_reference():
         seen.add("no unit" if entries.isdisjoint({1, -1}) and entries - {0} else "a unit")
         if any(x > 1 for x in diag):
             seen.add("non-unit pivot after a unit" if 1 in diag else "non-unit pivots only")
-    assert {"zero row", "repeated row", "zero column", "-1", "no unit", "a unit",
+    assert {"no column", "zero row", "repeated row", "zero column", "-1", "no unit", "a unit",
             "non-unit pivot after a unit", "non-unit pivots only"} <= seen
 
 
