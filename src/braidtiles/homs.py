@@ -58,8 +58,12 @@ def _transvection_factor(c: tuple[int, ...]) -> tuple[list[tuple[int, int]], lis
     """(u, d) with <v, c> = v . u and d = c, for v -> v + <v, c> c, as their
     nonzeros (index, coefficient); a chain class has at most two."""
     # <v, c> = sum_i v[2i] c[2i+1] - v[2i+1] c[2i]: c[a] lands in u at a ^ 1
-    d = [(a, c[a]) for a in itertools.compress(range(len(c)), c)]
-    return [(a ^ 1, y if a % 2 else -y) for a, y in d], d
+    u, d = [], []  # one loop for both: a first image makes a factor per generator
+    for a in itertools.compress(range(len(c)), c):
+        y = c[a]
+        u.append((a ^ 1, y if a % 2 else -y))
+        d.append((a, y))
+    return u, d
 
 
 def braid_to_symplectic(g: int, word: BraidWord) -> ExactMatrix:
@@ -103,22 +107,28 @@ def half_twist_image(graph: MarkedGraph, word: Iterable[int]) -> BraidWord:
     return BraidWord(graph.points, tuple(letters))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EdgeTransvectionRep:
     """Transvections over the free module on a tree's edges: the pairing of
     two edges is ±1 when they share a vertex and 0 otherwise, mirroring
-    curves that intersect once exactly when their edges are adjacent."""
+    curves that intersect once exactly when their edges are adjacent.
+
+    The representation is kept by adjacency: ``columns[a]`` holds the
+    nonzeros (b, pairing of b with a) of the pairing's column a, one per
+    neighbour b in ascending order.  ``EdgeTransvectionRep(edges, pairing)``
+    checks a dense pairing and reads its columns at the neighbours;
+    ``from_graph`` takes them from the adjacency alone, and the dense
+    ``pairing`` is built from them only when it is read."""
 
     edges: tuple[tuple[int, int], ...]
-    pairing: ExactMatrix
+    columns: tuple[tuple[tuple[int, int], ...], ...]
 
-    def __post_init__(self) -> None:
-        e = len(self.edges)
-        if self.pairing.rows != e or self.pairing.cols != e:
+    def __init__(self, edges: tuple[tuple[int, int], ...], pairing: ExactMatrix) -> None:
+        e = len(edges)
+        if pairing.rows != e or pairing.cols != e:
             raise ValueError("pairing matrix must be square on the edge set")
-        neighbors = edge_neighbors(self.edges)
-        object.__setattr__(self, "_neighbors", neighbors)  # not a field: equality is by edges and pairing
-        rows, columns = self.pairing.entries, tuple(zip(*self.pairing.entries))
+        neighbors = edge_neighbors(edges)
+        rows, columns = pairing.entries, tuple(zip(*pairing.entries))
         for a, row in enumerate(rows):
             # a row that passes at C speed is done; one that fails is walked
             # entry by entry, so the first fault is the one reported
@@ -126,37 +136,53 @@ class EdgeTransvectionRep:
                     and all(row[b] in (1, -1) for b in neighbors[a])):
                 continue
             for b in range(e):
-                v = self.pairing.entries[a][b]
-                if v != -self.pairing.entries[b][a]:
+                v = rows[a][b]
+                if v != -rows[b][a]:
                     raise ValueError("pairing must be skew-symmetric")
                 adjacent = b in neighbors[a]
                 if adjacent and v not in (1, -1):
                     raise ValueError(f"adjacent edges {a + 1},{b + 1} must pair to ±1")
                 if not adjacent and v != 0:
                     raise ValueError(f"non-adjacent edges {a + 1},{b + 1} must pair to 0")
+        self._set(edges, tuple(tuple((b, rows[b][a]) for b in sorted(neighbors[a])) for a in range(e)), pairing)
+
+    def _set(self, edges: tuple[tuple[int, int], ...], columns: tuple, pairing: ExactMatrix | None) -> None:
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "_pairing", pairing)  # not a field: made from the columns when first read
 
     @staticmethod
     def from_graph(graph: MarkedGraph) -> "EdgeTransvectionRep":
         """Representation on the graph's sorted edges, with each adjacent
-        pair a < b pairing to +1.  Any signs satisfy the Artin relations,
+        pair a < b pairing to +1, taken from ``edge_neighbors``: no dense
+        pairing is built or checked.  Any signs satisfy the Artin relations,
         so the choice is a convention; the constructor takes any other."""
-        neighbors = edge_neighbors(graph.edges)
-        e = len(neighbors)
-        rows = [[0] * e for _ in range(e)]
-        for a in range(e):
-            for b in neighbors[a]:
-                rows[a][b] = 1 if a < b else -1
-        return EdgeTransvectionRep(graph.edges, ExactMatrix.from_rows(rows, cols=e))
+        rep = object.__new__(EdgeTransvectionRep)
+        columns = tuple(tuple((b, 1 if b < a else -1) for b in sorted(around))
+                        for a, around in enumerate(edge_neighbors(graph.edges)))
+        rep._set(graph.edges, columns, None)
+        return rep
 
-    def _factor(self, index: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    @property
+    def pairing(self) -> ExactMatrix:
+        """The dense E x E pairing, built from ``columns`` on first read."""
+        if self._pairing is None:
+            e = len(self.edges)
+            rows = [[0] * e for _ in range(e)]
+            for a, column in enumerate(self.columns):
+                for b, v in column:
+                    rows[b][a] = v
+            object.__setattr__(self, "_pairing", ExactMatrix.from_rows(rows, cols=e))
+        return self._pairing
+
+    def _factor(self, index: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
         """(u, d) of the transvection along edge ``index`` (1-based), as their
         nonzeros (index, coefficient): the pairing column of the edge, read at
         its neighbours only, and its basis vector."""
         e = len(self.edges)
         if not (1 <= index <= e):
             raise ValueError(f"edge index {index} outside 1..{e}")
-        a, rows = index - 1, self.pairing.entries
-        return [(b, rows[b][a]) for b in self._neighbors[a]], [(a, 1)]
+        return self.columns[index - 1], ((index - 1, 1),)
 
     def image(self, word: Iterable[int]) -> ExactMatrix:
         return rank_one_product(len(self.edges), self._factor, word)

@@ -9,7 +9,10 @@ Word images are not dense products: ``rank_one_product`` folds their
 rank-one letters, and each letter's factor comes as its nonzeros, so a
 letter costs by its generator's degree, not by n.  A letter whose d has one
 nonzero rewrites one column as a combination of columns; a reflection is
-column s := (sum of the neighbour columns) - column s.
+column s := (sum of the neighbour columns) - column s.  Each letter's
+program is made once per factor content ``(u, d, sign)``, in one capped
+memo that the symplectic, edge-transvection and Coxeter folds share, so an
+image call pays for its fold, not for remaking its representation.
 ``rank_one_is_identity`` runs the same fold on the columns a word rewrites
 and compares only those with unit vectors.  The dense product and
 ``inverse`` are the exact reference.  ``is_symplectic`` pairs rows through
@@ -34,6 +37,7 @@ recorded without looking for what it does not divide.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import operator
@@ -236,9 +240,17 @@ def _adder(c: int) -> Callable[[int, int], int]:
 Terms = Sequence[tuple[int, int]]  # the nonzeros (index, coefficient) of a vector
 
 
-def _letter_terms(u: Terms, d: Terms, s: int) -> tuple[int, int, list, int, list]:
+# letter programs kept by ``_letter_terms``; a genus g image needs at most
+# 4g - 2 of them, and an image on E edges at most 2E
+_PROGRAMS_MAX = 4096
+
+
+@functools.lru_cache(maxsize=_PROGRAMS_MAX)
+def _letter_terms(u: Terms, d: Terms, s: int) -> tuple[int, int, tuple, int, tuple]:
     """Program (k, x, rest, j, sd) of the letter of sign s of the factor
-    I + s u^T d, from the nonzeros of u and d, both nonempty.  The program
+    I + s u^T d, from the nonzeros of u and d, both nonempty tuples.  One
+    memo keyed by that content, at most ``_PROGRAMS_MAX`` programs, serves
+    every fold: transvections and reflections alike, at any size.  The program
     forms the combination of x times column k plus c times column k' for
     each term of rest, held as (k', ``_adder(c)``), and leads with a
     coefficient 1 when there is one, so that it starts from the column
@@ -266,7 +278,8 @@ def _letter_terms(u: Terms, d: Terms, s: int) -> tuple[int, int, list, int, list
     (k, x), rest = terms[i], terms[:i] + terms[i + 1:]
     if sd and x == -1:
         rest, x, s = [(k2, -c) for k2, c in rest], 1, -s
-    return k, x, [(k2, _adder(c)) for k2, c in rest], j, [(j2, _adder(s * y)) for j2, y in sd]
+    # tuples: a kept program is shared by every later call
+    return k, x, tuple([(k2, _adder(c)) for k2, c in rest]), j, tuple([(j2, _adder(s * y)) for j2, y in sd])
 
 
 def _fold(
@@ -276,9 +289,11 @@ def _fold(
 ) -> None:
     """Multiply the columns ``cols`` of a product on the right by the letters
     of ``word`` in order, rewriting them in place (see ``rank_one_product``).
-    Each generator's factor is fetched once, and each letter's program
-    (``_letter_terms``) made once; a rewritten column is a new list, never
-    one changed in place, so columns may share one."""
+    Each generator's factor is fetched once per call, and each letter's
+    program (``_letter_terms``) made once per factor content, shared by every
+    representation and call: a factor that changes content, however it is
+    made, gets its own program.  A rewritten column is a new list, never one
+    changed in place, so columns may share one."""
     factors: dict[int, tuple[Terms, Terms]] = {}
     programs: dict[int, tuple] = {}
     for l in word:
@@ -288,7 +303,7 @@ def _fold(
             u, d = factors[abs(l)]
             if not (u and d):  # the identity
                 continue
-            programs[l] = _letter_terms(u, d, 1 if l > 0 else -1)
+            programs[l] = _letter_terms(tuple(u), tuple(d), 1 if l > 0 else -1)
         k, x, rest, j, d = programs[l]
         ru = cols[k] if x == 1 else [x * b for b in cols[k]]
         for k, add in rest:
@@ -468,11 +483,12 @@ def smith_normal_form(m: ExactMatrix) -> tuple[int, ...]:
     The nonzero rows, as sparse rows, go to one elimination loop
     (``_smith_diagonal``), smallest |entry| first, shortest row first among
     equals; a relator matrix of exponent rows is eliminated by unit pivots
-    nearly all the way.
+    nearly all the way.  Only the nonzeros are type-checked: ``ExactMatrix``
+    stores an integral Fraction as an int, so a zero is never fractional.
     """
-    if not m.is_integer():
-        raise ValueError("smith_normal_form requires integer entries")
     columns = range(m.cols)
     rows = [dict(zip(itertools.compress(columns, row), filter(None, row))) for row in m.entries if any(row)]
+    if not all(issubclass(t, int) for t in set(map(type, itertools.chain.from_iterable(map(dict.values, rows))))):
+        raise ValueError("smith_normal_form requires integer entries")
     diag = _smith_diagonal(rows)
     return tuple(diag) + (0,) * (min(m.rows, m.cols) - len(diag))

@@ -301,11 +301,11 @@ def test_chain_basis_compatibility():
 def _dense_image(factors, word):
     """Reference image: the dense product of the generator matrices, with
     the exact inverse for every inverse letter."""
-    result = ExactMatrix.identity(factors[1].rows)
+    result = None
     for l in word:
-        m = factors[abs(l)]
-        result = result * (m if l > 0 else m.inverse())
-    return result
+        m = factors[abs(l)] if l > 0 else factors[-l].inverse()
+        result = m if result is None else result * m
+    return ExactMatrix.identity(factors[1].rows) if result is None else result
 
 
 def _dense_transvection(form, c):
@@ -349,6 +349,80 @@ def test_edge_fold_matches_dense_product():
             word = tuple(rng.choice([1, -1]) * rng.randint(1, e) for _ in range(rng.randint(0, 24)))
             assert rep.image(word) == _dense_image(factors, word)
             assert edge_transvection_image(graph, word) == default.image(word)
+
+
+def _default_pairing(graph):
+    """The pairing ``from_graph`` stands for, entry by entry: +1 on an
+    adjacent pair a < b, -1 on its mirror, 0 elsewhere."""
+    e, adjacent = len(graph.edges), set(_adjacent_pairs(graph))
+    return ExactMatrix.from_rows(
+        [[1 if (a, b) in adjacent else -1 if (b, a) in adjacent else 0 for b in range(e)] for a in range(e)], cols=e
+    )
+
+
+def _dense_reflection(graph, s):
+    """The identity with column s replaced: 1 at each edge sharing a vertex
+    with edge s, -1 at s itself."""
+    e, j = len(graph.edges), s - 1
+    column = [-1 if a == j else int(bool(set(graph.edges[a]) & set(graph.edges[j]))) for a in range(e)]
+    return ExactMatrix.from_rows([[column[a] if c == j else int(a == c) for c in range(e)] for a in range(e)], cols=e)
+
+
+def test_images_match_dense_references_with_a_warm_memo():
+    # One process, one shuffled schedule of symplectic images at genus 1..6,
+    # edge and Coxeter images on the forests of enumerate_trees(5) and on the
+    # 199-edge chain: when an image reads the letter-program memo, other
+    # genera and graphs have filled it.  The references are built first, so
+    # no reference fills the memo in between.
+    rng = random.Random(34)
+    jobs = []
+    for g in range(1, 7):
+        form = SymplecticForm(g)
+        factors = {i + 1: _dense_transvection(form, c) for i, c in enumerate(chain_classes(g))}
+        jobs += [("genus", g, factors, rand_word(rng, 2 * g, rng.randint(0, 16))) for _ in range(5)]
+    graphs = {}
+    for expr in itertools.chain.from_iterable(tiles.enumerate_trees(5)):
+        graph = _full_edges(tiles.marked_graph_of(expr))
+        if graph.edges:
+            graphs.setdefault(graph.edges, graph)
+    for graph in graphs.values():
+        e = len(graph.edges)
+        signed = _signed_rep(graph, {p: rng.choice([1, -1]) for p in _adjacent_pairs(graph)})
+        default = EdgeTransvectionRep(graph.edges, _default_pairing(graph))
+        word = tuple(rng.choice([1, -1]) * rng.randint(1, e) for _ in range(rng.randint(0, 12)))
+        jobs.append(("graph", graph, {
+            "signed": (signed, {i: _edge_transvection(signed, i) for i in range(1, e + 1)}),
+            "default": (default, {i: _edge_transvection(default, i) for i in range(1, e + 1)}),
+            "coxeter": {i: _dense_reflection(graph, i) for i in range(1, e + 1)},
+        }, word))
+    chain = _full_edges(tiles.marked_graph_of(tiles.parse_tile_expression(" ; ".join(["F"] * 100))))
+    chain_rep = EdgeTransvectionRep(chain.edges, _default_pairing(chain))
+    assert len(chain.edges) == 199 and chain_rep == EdgeTransvectionRep.from_graph(chain)
+    assert chain_rep.pairing == EdgeTransvectionRep.from_graph(chain).pairing
+    # (I + N)^-1 = I - N for these N, so an inverse letter's dense reference
+    # is the transvection of the negated pairing, all signs flipped
+    flipped = _signed_rep(chain, dict.fromkeys(_adjacent_pairs(chain), -1))
+    for l in (1, -7, 100, -199, 198):
+        jobs.append(("chain letter", l, _edge_transvection(chain_rep if l > 0 else flipped, abs(l)), None))
+    jobs.append(("chain word", (57, -58), {i: _edge_transvection(chain_rep, i) for i in (57, 58)}, None))
+    jobs.append(("chain pairing", tuple(rng.choice([1, -1]) * rng.randint(1, 199) for _ in range(60)), None, None))
+    rng.shuffle(jobs)
+    for kind, x, reference, word in jobs:
+        if kind == "genus":
+            assert braid_to_symplectic(x, word) == _dense_image(reference, word.letters)
+        elif kind == "graph":
+            signed, factors = reference["signed"]
+            assert signed.image(word) == _dense_image(factors, word)
+            default, factors = reference["default"]
+            assert edge_transvection_image(x, word) == default.image(word) == _dense_image(factors, word)
+            coxeter = artin.CoxeterSystem.from_graph(x).image(word)
+            assert coxeter == _dense_image(reference["coxeter"], [abs(l) for l in word])
+        elif kind == "chain letter":
+            assert edge_transvection_image(chain, (x,)) == reference
+        elif kind == "chain word":
+            assert edge_transvection_image(chain, x) == _dense_image(reference, x)
+        else:
+            assert edge_transvection_image(chain, x) == chain_rep.image(x)
 
 
 # -- blockwise wreath images ----------------------------------------------------------

@@ -192,6 +192,15 @@ def test_smith_rejects_non_integer():
         smith_normal_form(ExactMatrix.from_rows([[Fraction(1, 2)]]))
 
 
+def test_smith_checks_the_nonzeros_it_collects():
+    # every zero is stored as an int, so checking the sparse rows' nonzeros
+    # finds a fraction among them; an exact int subclass still passes
+    rows = [[0, 0, 0, 0, 0], [0, 0, Fraction(1, 2), 0, 0], [1, 0, 0, 0, 0]]
+    with pytest.raises(ValueError, match="^smith_normal_form requires integer entries$"):
+        smith_normal_form(ExactMatrix.from_rows(rows))
+    assert smith_normal_form(ExactMatrix.from_rows([[0, _Count(2)], [0, 0]])) == (2, 0)
+
+
 def test_smith_random_properties():
     rng = random.Random(7)
     for _ in range(60):

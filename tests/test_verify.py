@@ -111,17 +111,27 @@ def _square_each_transvection(real):
     return squared
 
 
-@pytest.mark.parametrize(
-    "name, wrong, details",
-    [
-        ("chain_classes", _bend_chain_class_3, "genus 2: relator 2: s1 s3 s1^-1 s3^-1"),
-        ("_transvection_factor", _square_each_transvection, "genus 2: relator 1: s1 s2 s1 s2^-1 s1^-1 s2^-1"),
-    ],
-    ids=["bent-chain-class", "squared-transvection"],
-)
+WRONG_PHIS = [
+    ("chain_classes", _bend_chain_class_3, "genus 2: relator 2: s1 s3 s1^-1 s3^-1"),
+    ("_transvection_factor", _square_each_transvection, "genus 2: relator 1: s1 s2 s1 s2^-1 s1^-1 s2^-1"),
+]
+
+
+@pytest.mark.parametrize("name, wrong, details", WRONG_PHIS, ids=["bent-chain-class", "squared-transvection"])
 def test_symplectic_check_catches_a_wrong_phi(monkeypatch, name, wrong, details):
     monkeypatch.setattr(homs, name, wrong(getattr(homs, name)))
     assert verify._check_phi_well_defined() == (False, details)
+
+
+def test_symplectic_check_catches_a_wrong_phi_with_a_warm_memo(monkeypatch):
+    # an unmutated run fills the letter-program memo first; each mutation
+    # must still reach the images through it
+    assert verify._check_phi_well_defined()[0]
+    for name, wrong, details in WRONG_PHIS:
+        with monkeypatch.context() as patch:
+            patch.setattr(homs, name, wrong(getattr(homs, name)))
+            assert verify._check_phi_well_defined() == (False, details)
+        assert verify._check_phi_well_defined()[0]
 
 
 @pytest.mark.parametrize("max_atoms", range(1, 7))
