@@ -354,9 +354,10 @@ def is_trivial(word: BraidWord) -> bool:
 
     Handle reduction decides every word, of any length, and the action on
     Dynnikov coordinates checks it: WordProblemMismatch is raised if the
-    two verdicts differ.  No word skips the check.
+    two verdicts differ.  No word skips the check.  Only the reduced
+    letters are read, so no reduced ``BraidWord`` is built.
     """
-    fast = len(handle_reduce(word)) == 0
+    fast = not _handle_reduce_letters(word.letters)
     _require_agreement(fast, _dynnikov_trivial(word.letters), word, "Dynnikov coordinates")
     return fast
 

@@ -10,6 +10,7 @@ edge.  Only full edges count for degrees and for the Artin presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from .linalg import json_field, json_int
@@ -52,6 +53,10 @@ class HalfEdge:
         return f"{self.side}{self.interval}->{self.point}"
 
 
+# the dataclass order of HalfEdge, read at C speed
+_half_edge_key = attrgetter("point", "side", "interval")
+
+
 @dataclass(frozen=True)
 class MarkedGraph:
     points: int
@@ -59,20 +64,32 @@ class MarkedGraph:
     half_edges: tuple[HalfEdge, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.points < 0:
+        n = self.points
+        if n < 0:
             raise ValueError("point count must be nonnegative")
+        if not all(1 <= a < b <= n for a, b in self.edges) or len(set(self.edges)) < len(self.edges):
+            raise self._first_fault()
+        halves = sorted(self.half_edges, key=_half_edge_key)
+        if halves and not 1 <= halves[0].point <= halves[-1].point <= n:
+            raise self._first_fault()
+        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        object.__setattr__(self, "half_edges", tuple(halves))
+
+    def _first_fault(self) -> ValueError:
+        """The error for the first bad edge, else the first bad half-edge,
+        in input order; the caller has found that there is one."""
+        n = self.points
         seen: set[tuple[int, int]] = set()
         for a, b in self.edges:
-            if not (1 <= a < b <= self.points):
-                raise ValueError(f"edge ({a},{b}) is not an ordered pair of points 1..{self.points}")
+            if not (1 <= a < b <= n):
+                return ValueError(f"edge ({a},{b}) is not an ordered pair of points 1..{n}")
             if (a, b) in seen:
-                raise ValueError(f"duplicate edge ({a},{b})")
+                return ValueError(f"duplicate edge ({a},{b})")
             seen.add((a, b))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
         for h in self.half_edges:
-            if not (1 <= h.point <= self.points):
-                raise ValueError(f"half-edge at point {h.point} out of range 1..{self.points}")
-        object.__setattr__(self, "half_edges", tuple(sorted(self.half_edges)))
+            if not (1 <= h.point <= n):
+                return ValueError(f"half-edge at point {h.point} out of range 1..{n}")
+        raise AssertionError("no faulty edge or half-edge")
 
     @staticmethod
     def path(k: int) -> "MarkedGraph":

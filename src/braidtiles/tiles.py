@@ -11,7 +11,9 @@ interchange law, i.e. when they draw the same anchored diagram.  The
 normal form materializes that diagram: every atom has exactly one output,
 consumed exactly once, so the diagram is a forest of atom trees hanging
 off the global outputs, and numbering the atoms by a depth-first sweep
-from the outputs is canonical.
+from the outputs is canonical.  A wire of a diagram is a plain int: ``r``
+(nonnegative) is the single output of atom ``r``, and ``~i`` (negative) is
+global input ``i``.
 
 Atoms carry marked points (D none, P one, F two) joined by edges: F's two
 points are joined internally, and a glued wire joins the producer-side
@@ -36,10 +38,6 @@ from typing import Callable, Iterator, Sequence, TypeVar
 from .artin import Presentation, presentation_from_graph
 from .graphs import HalfEdge, MarkedGraph
 from .linalg import SPACE
-
-# ref into a diagram: ("in", i) is the 0-based global input i,
-# ("node", r) is the single output of atom instance r
-Ref = tuple[str, int]
 
 _ARITY = {"D": (0, 1), "P": (2, 1), "F": (1, 1)}
 _POINTS = {"D": 0, "P": 1, "F": 2}
@@ -246,88 +244,95 @@ def format_tile_expression(expr: TileExpr) -> str:
     stack: list[TileExpr | str] = [expr]  # terms still to print, and literal text
     while stack:
         e = stack.pop()
-        if isinstance(e, str):
+        kind = type(e)
+        if kind is str:
             parts.append(e)
-        elif isinstance(e, AtomExpr):
+        elif kind is AtomExpr:
             parts.append(e.tag)
-        elif isinstance(e, IdentityExpr):
-            parts.append(f"1_{e.width}")
-        elif isinstance(e, UnionExpr):
-            right, left = e.right, e.left
-            stack += [")", right, "("] if isinstance(right, (UnionExpr, ComposeExpr)) else [right]
-            stack.append(" + ")
-            stack += [")", left, "("] if isinstance(left, ComposeExpr) else [left]
-        elif isinstance(e, ComposeExpr):
+        elif kind is ComposeExpr:
             second = e.second
-            stack += [")", second, "("] if isinstance(second, ComposeExpr) else [second]
+            stack += [")", second, "("] if type(second) is ComposeExpr else [second]
             stack += [" ; ", e.first]
+        elif kind is UnionExpr:
+            right, left = e.right, e.left
+            stack += [")", right, "("] if type(right) in (UnionExpr, ComposeExpr) else [right]
+            stack.append(" + ")
+            stack += [")", left, "("] if type(left) is ComposeExpr else [left]
+        elif kind is IdentityExpr:
+            parts.append(f"1_{e.width}")
         else:
-            raise TypeError(f"not a tile expression: {type(e).__name__}")
+            raise TypeError(f"not a tile expression: {kind.__name__}")
     return "".join(parts)
 
 
 # -- diagrams and normal form -------------------------------------------
 
-def _diagram(expr: TileExpr) -> tuple[list[str], list[list[Ref]], list[Ref]]:
+def _diagram(expr: TileExpr) -> tuple[list[str], list[list[int]], list[int]]:
     """Concrete port graph of an expression as ``(tags, inputs, outputs)``,
-    atoms numbered left to right (node ids index ``tags``).  Each job reads
-    its inputs from ``src[at:at + dom]`` and appends its outputs to ``out``;
-    a gluing's first part writes a fresh list that its second part reads."""
+    atoms numbered left to right (node ids index ``tags``).  A wire is an
+    int: ``r >= 0`` is the output of atom ``r``, ``~i`` is global input
+    ``i``.  Each job reads its input wires from ``src[at:at + dom]`` and
+    appends its output wires to ``out``; a gluing's first part writes a
+    fresh list that its second part reads."""
     if not isinstance(expr, TileExpr):
         raise TypeError(f"not a tile expression: {expr!r}")
     tags: list[str] = []
-    inputs: list[list[Ref]] = []
-    outputs: list[Ref] = []
-    stack: list[tuple[TileExpr, list[Ref], int, list[Ref]]] = [
-        (expr, [("in", i) for i in range(expr.dom)], 0, outputs)
+    inputs: list[list[int]] = []
+    outputs: list[int] = []
+    stack: list[tuple[TileExpr, list[int], int, list[int]]] = [
+        (expr, list(range(-1, ~expr.dom, -1)), 0, outputs)  # ~0, ~1, ...
     ]
     while stack:
         e, src, at, out = stack.pop()
-        if isinstance(e, AtomExpr):
+        kind = type(e)
+        if kind is AtomExpr:
             inputs.append(src[at:at + e.dom])
-            out.append(("node", len(tags)))
+            out.append(len(tags))
             tags.append(e.tag)
-        elif isinstance(e, IdentityExpr):
-            out += src[at:at + e.width]
-        elif isinstance(e, UnionExpr):
-            stack.append((e.right, src, at + e.left.dom, out))
-            stack.append((e.left, src, at, out))
-        elif isinstance(e, ComposeExpr):
-            mid: list[Ref] = []
+        elif kind is ComposeExpr:
+            mid: list[int] = []
             stack.append((e.second, mid, 0, out))
             stack.append((e.first, src, at, mid))
+        elif kind is UnionExpr:
+            stack.append((e.right, src, at + e.left.dom, out))
+            stack.append((e.left, src, at, out))
+        elif kind is IdentityExpr:
+            out += src[at:at + e.width]
         else:
-            raise TypeError(f"not a tile expression: {type(e).__name__}")
+            raise TypeError(f"not a tile expression: {kind.__name__}")
     return tags, inputs, outputs
 
 
-def _sweep(inputs: Sequence[Sequence[Ref]], outputs: Sequence[Ref]) -> tuple[list[int], list[int]]:
-    """Node ids in depth-first pre-order and post-order from the outputs,
-    ports left to right.  Every node's output is consumed exactly once, so
-    this visits each node exactly once."""
-    pre: list[int] = []
-    post: list[int] = []
-    stack = [ref[1] for ref in reversed(outputs) if ref[0] == "node"]
+def _sweep(inputs: Sequence[Sequence[int]], outputs: Sequence[int], step: int) -> list[int]:
+    """Node ids in depth-first pre-order from the outputs, ports left to
+    right if ``step`` is 1 and right to left if it is -1.  Reversed, the
+    right-to-left pre-order is the left-to-right post-order.  Every node's
+    output is consumed exactly once, so this visits each node exactly once."""
+    order: list[int] = []
+    stack = [w for w in outputs[::-step] if w >= 0]  # the next port is popped first
     while stack:
         r = stack.pop()
-        if r < 0:  # ~r is finished
-            post.append(~r)
-            continue
-        pre.append(r)
-        stack.append(~r)
-        stack += [ref[1] for ref in reversed(inputs[r]) if ref[0] == "node"]
-    return pre, post
+        order.append(r)
+        stack += [w for w in inputs[r][::-step] if w >= 0]
+    return order
+
+
+def _wire_json(w: int) -> list:
+    return ["in", ~w] if w < 0 else ["node", w]
 
 
 @dataclass(frozen=True)
 class TileNormalForm:
-    """Canonical anchored diagram: atoms numbered by the output sweep."""
+    """Canonical anchored diagram: atoms numbered by the output sweep.  A
+    wire is an int, as in the diagram: ``r >= 0`` is the output of atom
+    ``r``, ``~i`` is global input ``i``; only the JSON spells them
+    ``["node", r]`` and ``["in", i]``."""
 
     dom: int
     cod: int
     tags: tuple[str, ...]
-    inputs: tuple[tuple[Ref, ...], ...]
-    outputs: tuple[Ref, ...]
+    inputs: tuple[tuple[int, ...], ...]
+    outputs: tuple[int, ...]
 
     @property
     def atom_count(self) -> int:
@@ -338,10 +343,10 @@ class TileNormalForm:
             "dom": self.dom,
             "cod": self.cod,
             "nodes": [
-                {"tag": t, "inputs": [list(r) for r in refs]}
-                for t, refs in zip(self.tags, self.inputs)
+                {"tag": t, "inputs": [_wire_json(w) for w in wires]}
+                for t, wires in zip(self.tags, self.inputs)
             ],
-            "outputs": [list(r) for r in self.outputs],
+            "outputs": [_wire_json(w) for w in self.outputs],
         }
 
     def __str__(self) -> str:
@@ -350,20 +355,19 @@ class TileNormalForm:
 
 def normal_form(expr: TileExpr) -> TileNormalForm:
     tags, inputs, outputs = _diagram(expr)
-    order = _sweep(inputs, outputs)[0]
-    rank = [0] * len(order)
+    order = _sweep(inputs, outputs, 1)
+    # rank[j] is atom j's sweep number, and the tail maps each input wire ~i
+    # (a negative index from the end) to itself, so one lookup renames any wire
+    rank = [0] * len(order) + list(range(-expr.dom, 0))
     for r, j in enumerate(order):
         rank[j] = r
-
-    def remap(ref: Ref) -> Ref:
-        return ref if ref[0] == "in" else ("node", rank[ref[1]])
-
+    wire = rank.__getitem__
     return TileNormalForm(
         expr.dom,
         expr.cod,
-        tuple(tags[j] for j in order),
-        tuple(tuple(remap(r) for r in inputs[j]) for j in order),
-        tuple(remap(r) for r in outputs),
+        tuple([tags[j] for j in order]),
+        tuple([tuple(map(wire, inputs[j])) for j in order]),
+        tuple(map(wire, outputs)),
     )
 
 
@@ -374,23 +378,23 @@ def to_expression(nf: TileNormalForm) -> TileExpr:
     the last atom back."""
     trees: list[TileExpr] = [AtomExpr(tag) for tag in nf.tags]
 
-    def union_of(refs: Sequence[Ref]) -> TileExpr:
+    def union_of(wires: Sequence[int]) -> TileExpr:
         terms: list[TileExpr] = []
         run = 0
-        for kind, i in refs:
-            if kind == "in":
+        for w in wires:
+            if w < 0:
                 run += 1
                 continue
             if run:
                 terms.append(IdentityExpr(run))
                 run = 0
-            terms.append(trees[i])
+            terms.append(trees[w])
         if run:
             terms.append(IdentityExpr(run))
         return disjoint_union(*terms)
 
     for r in reversed(range(len(trees))):
-        children = [i for kind, i in nf.inputs[r] if kind == "node"]
+        children = [w for w in nf.inputs[r] if w >= 0]
         if any(i <= r for i in children):
             raise ValueError(f"not a normal form: atom {r} reads atom {min(children)}")
         if children:
@@ -400,7 +404,7 @@ def to_expression(nf: TileNormalForm) -> TileExpr:
 
 # -- marked points and graphs -------------------------------------------
 
-def _graph_of(tags: Sequence[str], inputs: Sequence[Sequence[Ref]], outputs: Sequence[Ref]) -> MarkedGraph:
+def _graph_of(tags: Sequence[str], inputs: Sequence[Sequence[int]], outputs: Sequence[int]) -> MarkedGraph:
     """One post-order pass of the output sweep labels each node's points
     and emits its edges and half-edges.  A producer is finished before its
     consumer, so its points are labelled when the consumer's wire needs
@@ -412,21 +416,21 @@ def _graph_of(tags: Sequence[str], inputs: Sequence[Sequence[Ref]], outputs: Seq
     count = 0
     edges: list[tuple[int, int]] = []
     halves: list[HalfEdge] = []
-    for r in _sweep(inputs, outputs)[1]:
+    for r in reversed(_sweep(inputs, outputs, -1)):  # post-order
         tag, first = tags[r], count + 1
         if tag == "D":  # no inputs, no points
             continue
         count = last[r] = count + _POINTS[tag]
         if tag == "F":
             edges.append((first, count))
-        for kind, i in inputs[r]:
-            if kind == "in":
-                halves.append(HalfEdge(first, "in", i + 1))
-            elif last[i]:
-                edges.append((last[i], first))
-    for o, (kind, i) in enumerate(outputs):
-        if kind == "node" and last[i]:
-            halves.append(HalfEdge(last[i], "out", o + 1))
+        for w in inputs[r]:
+            if w < 0:  # global input ~w, boundary interval -w
+                halves.append(HalfEdge(first, "in", -w))
+            elif last[w]:
+                edges.append((last[w], first))
+    for o, w in enumerate(outputs, start=1):
+        if w >= 0 and last[w]:
+            halves.append(HalfEdge(last[w], "out", o))
     return MarkedGraph(count, tuple(edges), tuple(halves))
 
 

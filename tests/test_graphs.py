@@ -22,6 +22,30 @@ def test_graph_validation():
         MarkedGraph(3, ((1, 2), (1, 2)))  # no duplicate edges
 
 
+def test_graph_errors_name_the_first_fault_in_input_order():
+    # sorted, (1,1) would come first; the message names (3,9), the first in input order
+    with pytest.raises(ValueError, match=r"^edge \(3,9\) is not an ordered pair of points 1\.\.3$"):
+        MarkedGraph(3, ((1, 2), (3, 9), (1, 1)))
+    # a duplicate after an out-of-range edge: the range error comes first
+    with pytest.raises(ValueError, match=r"^edge \(2,7\) is not an ordered pair of points 1\.\.3$"):
+        MarkedGraph(3, ((1, 2), (2, 7), (1, 2)))
+    with pytest.raises(ValueError, match=r"^duplicate edge \(1,2\)$"):
+        MarkedGraph(3, ((1, 2), (1, 2), (2, 7)))
+    # a bad edge is reported before a bad half-edge, and half-edges in input order
+    with pytest.raises(ValueError, match=r"^edge \(2,7\)"):
+        MarkedGraph(3, ((2, 7),), (HalfEdge(9, "in", 1),))
+    with pytest.raises(ValueError, match=r"^half-edge at point 4 out of range 1\.\.2$"):
+        MarkedGraph(2, ((1, 2),), (HalfEdge(1, "in", 1), HalfEdge(4, "in", 2), HalfEdge(0, "out", 1)))
+
+
+def test_half_edges_sort_by_point_then_in_before_out_then_interval():
+    halves = (HalfEdge(2, "in", 1), HalfEdge(1, "out", 1), HalfEdge(1, "in", 3), HalfEdge(1, "in", 2),
+              HalfEdge(1, "out", 4))
+    g = MarkedGraph(2, (), halves)
+    assert [str(h) for h in g.half_edges] == ["in2->1", "in3->1", "out1->1", "out4->1", "in1->2"]
+    assert g.half_edges == tuple(sorted(halves))  # the dataclass order
+
+
 def test_edges_are_stored_sorted():
     g = MarkedGraph(3, ((2, 3), (1, 2)))
     assert g.edges == ((1, 2), (2, 3))

@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import dataclass
 
 import pytest
 
@@ -135,6 +136,53 @@ def test_normal_form_of_single_atom():
         "nodes": [{"tag": "F", "inputs": [["in", 0]]}],
         "outputs": [["node", 0]],
     }
+
+
+@pytest.mark.parametrize("text,obj", [
+    ("(F + 1_1) ; P", {
+        "dom": 2, "cod": 1,
+        "nodes": [{"tag": "P", "inputs": [["node", 1], ["in", 1]]}, {"tag": "F", "inputs": [["in", 0]]}],
+        "outputs": [["node", 0]],
+    }),
+    ("D + 1_2 ; P + F", {
+        "dom": 2, "cod": 2,
+        "nodes": [
+            {"tag": "P", "inputs": [["node", 1], ["in", 0]]},
+            {"tag": "D", "inputs": []},
+            {"tag": "F", "inputs": [["in", 1]]},
+        ],
+        "outputs": [["node", 0], ["node", 2]],
+    }),
+    ("1_2 ; P", {
+        "dom": 2, "cod": 1,
+        "nodes": [{"tag": "P", "inputs": [["in", 0], ["in", 1]]}],
+        "outputs": [["node", 0]],
+    }),
+])
+def test_normal_form_json_frozen(text, obj):
+    assert normal_form(t(text)).to_json_obj() == obj
+
+
+def test_normal_form_wires_are_ints():
+    # r >= 0 is the output of atom r, ~i is global input i
+    nf = normal_form(t("D + 1_2 ; P + F"))
+    assert nf.tags == ("P", "D", "F")
+    assert nf.inputs == ((1, ~0), (), (~1,))
+    assert nf.outputs == (0, 2)
+
+
+def test_non_tiles_raise_type_error():
+    @dataclass(frozen=True, slots=True, eq=False, repr=False)
+    class Odd(tiles.TileExpr):
+        def __post_init__(self) -> None:
+            self._arity(1, 1)
+
+    glued = compose(F, Odd())
+    for stage in (format_tile_expression, normal_form, marked_graph_of):
+        with pytest.raises(TypeError, match="^not a tile expression: Odd$"):
+            stage(glued)
+    with pytest.raises(TypeError, match="^not a tile expression: 'F'$"):
+        normal_form("F")
 
 
 def test_normal_form_round_trips_through_expression():
