@@ -15,8 +15,9 @@ labels, 3 for neighbouring edges and 2 otherwise, make -2B(a_t, a_s) 1 or 0.
 
 The matrix work here costs by adjacency: a reflection rewrites one column
 from its neighbours' columns, a certificate compares only the columns its
-word rewrote, and H_1 sums each relator's letters, so a commutator gives no
-row and the Smith form sees only the distinct nonzero rows.
+word rewrote, and H_1 sums each relator's letters into a sparse row that
+goes straight to the Smith elimination, so a commutator gives no row and
+the cost is set by the nonzeros, not by generators x relators.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ from .graphs import MarkedGraph, edge_neighbors
 from .linalg import (
     WORD,
     ExactMatrix,
+    _smith_diagonal,
     json_field,
     json_int,
     json_list,
     rank_one_is_identity,
     rank_one_product,
-    smith_normal_form,
 )
 
 Word = tuple[int, ...]
@@ -162,13 +163,12 @@ class AbelianInvariants:
 
 
 def abelianization(pres: Presentation) -> AbelianInvariants:
-    """Invariant factors of the relators' exponent-sum rows: the nonzero
-    entries of their Smith diagonal.  Each row is summed from its relator's
-    letters, and zero and repeated rows leave the row lattice unchanged, so
-    only the distinct nonzero rows are made dense (a graph's commutators give
-    none)."""
-    n = len(pres.generators)
-    rows: dict[tuple[tuple[int, int], ...], None] = {}
+    """Invariant factors of the relators' exponent-sum rows: their nonzero
+    Smith diagonal.  Each row is summed from its relator's letters as its
+    nonzeros (generator -> exponent) and goes straight to the sparse
+    elimination, which clears a repeated row at its first pivot; a zero row
+    (a graph's commutator) is not made."""
+    rows = []
     for rel in pres.relators:
         exponents: dict[int, int] = {}
         for l in rel:
@@ -177,14 +177,8 @@ def abelianization(pres: Presentation) -> AbelianInvariants:
             else:
                 exponents[-l] = exponents.get(-l, 0) - 1
         if any(exponents.values()):
-            rows[tuple(sorted(item for item in exponents.items() if item[1]))] = None
-    dense = []
-    for sparse in rows:
-        row = [0] * n
-        for i, e in sparse:
-            row[i - 1] = e
-        dense.append(row)
-    factors = [d for d in smith_normal_form(ExactMatrix.from_rows(dense, cols=n)) if d]
+            rows.append({i: e for i, e in exponents.items() if e})
+    factors = _smith_diagonal(rows)
     return AbelianInvariants(
         free_rank=len(pres.generators) - len(factors),
         torsion=tuple(f for f in factors if f > 1),

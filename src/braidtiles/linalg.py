@@ -22,9 +22,10 @@ a rearranged class.  Integer-valued entries are stored as ``int`` and only
 genuinely fractional entries as ``Fraction``, and no floating point is
 involved anywhere.  ``smith_normal_form`` returns only the Smith diagonal,
 which is unique; it keeps no unimodular certificate.  One elimination loop
-on sparse rows makes it, pivoting on the smallest |entry| in the shortest
-row that holds it, so a graph's relator matrix (1,798 x 1,799 on the
-depth-900 chain) is eliminated by its nonzeros.
+on sparse rows makes it (``_smith_diagonal``), pivoting on the smallest
+|entry| in the shortest row that holds it.  ``smith_normal_form`` feeds it
+a checked matrix's rows, and ``artin.abelianization`` its relators' exponent
+rows with no matrix in between, so H_1 costs by the nonzeros.
 
 Per-entry work runs at C speed where the entries allow it, with the same
 results as entry-by-entry code: a row of exact ``int`` entries is stored
@@ -181,9 +182,6 @@ class ExactMatrix:
         """Rows are stored as tuples, so this is one comparison with the
         identity's rows, entry by entry at C speed."""
         return self.is_square and self.entries == _identity_rows(self.rows)
-
-    def is_integer(self) -> bool:
-        return all(issubclass(t, int) for t in set(map(type, itertools.chain.from_iterable(self.entries))))
 
     def inverse(self) -> "ExactMatrix":
         """Exact inverse by Gauss-Jordan; raises ValueError when singular."""
@@ -401,9 +399,9 @@ def is_symplectic(m: ExactMatrix, form: SymplecticForm) -> bool:
 
 
 def _smith_diagonal(rows: list[dict[int, int] | None]) -> list[int]:
-    """The nonzero Smith diagonal of the nonzero sparse rows ``rows``
-    (column -> nonzero entry), eliminated in place; a row that becomes zero,
-    or is a recorded pivot's, is set to None.
+    """The nonzero Smith diagonal, in divisibility order, of the nonzero
+    sparse rows ``rows`` (column -> nonzero entry), eliminated in place; a
+    row that becomes zero, or is a recorded pivot's, is set to None.
 
     Each round pivots on the smallest |entry| left, in the shortest row that
     holds it: a heap keyed (least |entry|, length, row) orders the rows, a

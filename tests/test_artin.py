@@ -274,19 +274,51 @@ def test_validate_word_returns_the_word_as_a_tuple():
         pres.validate_word([-1, 3])
 
 
-def test_f_chains_abelianize_to_z():
-    # the chain of depth k is a path on 2k - 1 edges; its relator rows are
-    # e_a - e_b, so every Smith pivot is a unit
-    for depth in range(1, 41):
-        graph = tiles.marked_graph_of(tiles.parse_tile_expression(" ; ".join(["F"] * depth)))
-        assert len(graph.edges) == 2 * depth - 1
-        assert abelianization(presentation_from_graph(graph)) == AbelianInvariants(1, ())
+def _edge_components(graph):
+    """Components of the edge-adjacency graph (edges meet when they share a
+    vertex), counted by a walk over ``edge_neighbors``: the free rank of the
+    graph's H_1, since a braid relation identifies its two generators and a
+    commutator adds nothing.  A test oracle only."""
+    neighbors = edge_neighbors(graph.edges)
+    seen: set[int] = set()
+    count = 0
+    for start in range(len(neighbors)):
+        if start in seen:
+            continue
+        count += 1
+        stack = [start]
+        seen.add(start)
+        while stack:
+            for b in neighbors[stack.pop()] - seen:
+                seen.add(b)
+                stack.append(b)
+    return count
 
 
-def test_disjoint_edges_give_rank_two():
-    inv = abelianization(presentation_from_graph(MarkedGraph(4, ((1, 2), (3, 4)))))
-    assert inv.free_rank == 2
-    assert inv.torsion == ()
+def _random_forest(rng, points):
+    """A forest on ``points`` vertices: each vertex after the first joins an
+    earlier one with probability 1/2, so isolated points and several
+    components come up."""
+    edges = tuple((rng.randrange(1, v), v) for v in range(2, points + 1) if rng.random() < 0.5)
+    return MarkedGraph(points, edges)
+
+
+def test_graphs_abelianize_to_z_per_edge_component():
+    # the chain of depth k is a path on 2k - 1 edges: one component, so Z
+    chains = [tiles.marked_graph_of(tiles.parse_tile_expression(" ; ".join(["F"] * depth)))
+              for depth in range(1, 41)]
+    assert [len(g.edges) for g in chains] == [2 * depth - 1 for depth in range(1, 41)]
+    rng = random.Random(31)
+    forests = [_random_forest(rng, rng.randint(0, 24)) for _ in range(60)]
+    counts = {_edge_components(g) for g in forests}
+    assert {0, 1} < counts and max(counts) >= 4
+    assert any(len({v for e in g.edges for v in e}) < g.points for g in forests)  # isolated points
+    disjoint = MarkedGraph(4, ((1, 2), (3, 4)))
+    graphs = [*chains, *verify._distinct_graphs(5), *forests, disjoint]
+    for graph in graphs:
+        c = _edge_components(graph)
+        assert abelianization(presentation_from_graph(graph)) == AbelianInvariants(c, ()), graph
+    assert _edge_components(disjoint) == 2
 
 
 # -- reflection certificates -------------------------------------------------------
@@ -355,7 +387,7 @@ def test_reflections_are_integer_involutions():
     cox = CoxeterSystem.from_graph(WITNESS_GRAPH)
     for s in range(1, cox.rank + 1):
         r = cox.image((s,))
-        assert r.is_integer()
+        assert all(type(x) is int for row in r.entries for x in row)
         assert (r * r).is_identity()
         assert _int_det(r.entries) == -1
 

@@ -610,6 +610,23 @@ def test_dense_presentation_abelianizes_in_a_fresh_interpreter():
     assert math.prod(result["torsion"]) == abs(det)
 
 
+def test_wide_sparse_presentation_abelianizes_in_a_fresh_interpreter():
+    # 20,000 generators and relators with two letters or fewer: the cost is
+    # set by the nonzeros, so no generators x relators matrix is made.  The
+    # argv is built in the child, since one OS argument is capped at 128 KiB.
+    proc = _run_under_a_memory_limit("-c", (
+        "import json, sys\n"
+        "from braidtiles.cli import main\n"
+        "n = 20000\n"
+        "relators = [[i, -(i + 1)] for i in range(1, n)] + [[n, n]]\n"
+        "pres = {'generators': [f'x{i}' for i in range(1, n + 1)], 'relators': relators}\n"
+        "sys.exit(main(['artin', 'abelianize', '--presentation', json.dumps(pres)]))\n"
+    ))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "Z/2\n"
+    assert proc.stderr == ""
+
+
 def test_no_arguments_exits_2(capsys):
     assert main([]) == 2
     capsys.readouterr()
