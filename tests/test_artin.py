@@ -274,6 +274,21 @@ def test_validate_word_returns_the_word_as_a_tuple():
         pres.validate_word([-1, 3])
 
 
+def test_f_chains_abelianize_to_z():
+    # the chain of depth k is a path on 2k - 1 edges; its relator rows are
+    # e_a - e_b, so every Smith pivot is a unit
+    for depth in range(1, 41):
+        graph = tiles.marked_graph_of(tiles.parse_tile_expression(" ; ".join(["F"] * depth)))
+        assert len(graph.edges) == 2 * depth - 1
+        assert abelianization(presentation_from_graph(graph)) == AbelianInvariants(1, ())
+
+
+def test_disjoint_edges_give_rank_two():
+    inv = abelianization(presentation_from_graph(MarkedGraph(4, ((1, 2), (3, 4)))))
+    assert inv.free_rank == 2
+    assert inv.torsion == ()
+
+
 def _edge_components(graph):
     """Components of the edge-adjacency graph (edges meet when they share a
     vertex), counted by a walk over ``edge_neighbors``: the free rank of the
