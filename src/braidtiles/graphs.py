@@ -96,13 +96,6 @@ class MarkedGraph:
         """Path graph on k vertices: edges (1,2), (2,3), ..."""
         return MarkedGraph(k, tuple((i, i + 1) for i in range(1, k)))
 
-    def max_degree(self) -> int:
-        deg = [0] * (self.points + 1)
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return max(deg) if deg else 0
-
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components under full edges, each a sorted vertex tuple,
         ordered by smallest vertex."""
@@ -122,10 +115,6 @@ class MarkedGraph:
         for v in range(1, self.points + 1):
             groups.setdefault(find(v), []).append(v)
         return tuple(tuple(g) for _, g in sorted(groups.items()))
-
-    def is_forest(self) -> bool:
-        comps = self.components()
-        return len(self.edges) == self.points - len(comps)
 
     def to_json_obj(self) -> dict:
         return {

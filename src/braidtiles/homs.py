@@ -5,8 +5,9 @@ covariantly with words: image(w1 * w2) = image(w1) * image(w2).
 
 The braid group on 2g strands maps to Sp(2g, Z) by sending each generator
 to the transvection along the matching curve class of the standard chain;
-a tile's Artin generators map to braids by half twists along bands, and to
-transvections over the free module on the tile's edges.  Wreath-shaped
+a tile's Artin generators map to braids by half twists along bands, and
+(``edge_transvection_image``) to transvections over the free module on the
+tile's edges, one per edge, folded from the graph's adjacency.  Wreath-shaped
 maps place symplectic blocks side by side and let a braid permute the
 blocks.  These are homology shadows, not faithful images: identities of
 images are necessary conditions only, but any two distinct images
@@ -16,7 +17,6 @@ certify a genuine difference, which is what the discrepancy witness uses.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -107,90 +107,25 @@ def half_twist_image(graph: MarkedGraph, word: Iterable[int]) -> BraidWord:
     return BraidWord(graph.points, tuple(letters))
 
 
-@dataclass(frozen=True, init=False)
-class EdgeTransvectionRep:
-    """Transvections over the free module on a tree's edges: the pairing of
-    two edges is ±1 when they share a vertex and 0 otherwise, mirroring
-    curves that intersect once exactly when their edges are adjacent.
+def edge_transvection_image(graph: MarkedGraph, word: Iterable[int]) -> ExactMatrix:
+    """Image of an Artin word under the transvections over the free module on
+    the graph's edges, mirroring curves that meet once exactly when their
+    edges share a vertex: edge a (0-based) sends v to v + <v, e_a> e_a, where
+    edges a < b pair to +1 when adjacent and to 0 otherwise, and the pairing
+    is skew.  Any signs satisfy the Artin relations, so +1 for a < b is a
+    convention.  The transvection of an edge is built from its neighbours
+    (``edge_neighbors``) when the word first uses it, never from an E x E
+    pairing: u holds the pairing's column a at the neighbours in ascending
+    order, so equal content meets one ``_letter_terms`` program, and d = e_a."""
+    e, neighbors = len(graph.edges), edge_neighbors(graph.edges)
 
-    The representation is kept by adjacency: ``columns[a]`` holds the
-    nonzeros (b, pairing of b with a) of the pairing's column a, one per
-    neighbour b in ascending order.  ``EdgeTransvectionRep(edges, pairing)``
-    checks a dense pairing and reads its columns at the neighbours;
-    ``from_graph`` takes them from the adjacency alone, and the dense
-    ``pairing`` is built from them only when it is read."""
-
-    edges: tuple[tuple[int, int], ...]
-    columns: tuple[tuple[tuple[int, int], ...], ...]
-
-    def __init__(self, edges: tuple[tuple[int, int], ...], pairing: ExactMatrix) -> None:
-        e = len(edges)
-        if pairing.rows != e or pairing.cols != e:
-            raise ValueError("pairing matrix must be square on the edge set")
-        neighbors = edge_neighbors(edges)
-        rows, columns = pairing.entries, tuple(zip(*pairing.entries))
-        for a, row in enumerate(rows):
-            # a row that passes at C speed is done; one that fails is walked
-            # entry by entry, so the first fault is the one reported
-            if (row == tuple(map(operator.neg, columns[a])) and row.count(0) == e - len(neighbors[a])
-                    and all(row[b] in (1, -1) for b in neighbors[a])):
-                continue
-            for b in range(e):
-                v = rows[a][b]
-                if v != -rows[b][a]:
-                    raise ValueError("pairing must be skew-symmetric")
-                adjacent = b in neighbors[a]
-                if adjacent and v not in (1, -1):
-                    raise ValueError(f"adjacent edges {a + 1},{b + 1} must pair to ±1")
-                if not adjacent and v != 0:
-                    raise ValueError(f"non-adjacent edges {a + 1},{b + 1} must pair to 0")
-        self._set(edges, tuple(tuple((b, rows[b][a]) for b in sorted(neighbors[a])) for a in range(e)), pairing)
-
-    def _set(self, edges: tuple[tuple[int, int], ...], columns: tuple, pairing: ExactMatrix | None) -> None:
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "_pairing", pairing)  # not a field: made from the columns when first read
-
-    @staticmethod
-    def from_graph(graph: MarkedGraph) -> "EdgeTransvectionRep":
-        """Representation on the graph's sorted edges, with each adjacent
-        pair a < b pairing to +1, taken from ``edge_neighbors``: no dense
-        pairing is built or checked.  Any signs satisfy the Artin relations,
-        so the choice is a convention; the constructor takes any other."""
-        rep = object.__new__(EdgeTransvectionRep)
-        columns = tuple(tuple((b, 1 if b < a else -1) for b in sorted(around))
-                        for a, around in enumerate(edge_neighbors(graph.edges)))
-        rep._set(graph.edges, columns, None)
-        return rep
-
-    @property
-    def pairing(self) -> ExactMatrix:
-        """The dense E x E pairing, built from ``columns`` on first read."""
-        if self._pairing is None:
-            e = len(self.edges)
-            rows = [[0] * e for _ in range(e)]
-            for a, column in enumerate(self.columns):
-                for b, v in column:
-                    rows[b][a] = v
-            object.__setattr__(self, "_pairing", ExactMatrix.from_rows(rows, cols=e))
-        return self._pairing
-
-    def _factor(self, index: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-        """(u, d) of the transvection along edge ``index`` (1-based), as their
-        nonzeros (index, coefficient): the pairing column of the edge, read at
-        its neighbours only, and its basis vector."""
-        e = len(self.edges)
+    def factor(index: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
         if not (1 <= index <= e):
             raise ValueError(f"edge index {index} outside 1..{e}")
-        return self.columns[index - 1], ((index - 1, 1),)
+        a = index - 1
+        return tuple((b, 1 if b < a else -1) for b in sorted(neighbors[a])), ((a, 1),)
 
-    def image(self, word: Iterable[int]) -> ExactMatrix:
-        return rank_one_product(len(self.edges), self._factor, word)
-
-
-def edge_transvection_image(graph: MarkedGraph, word: Iterable[int]) -> ExactMatrix:
-    """Image of an Artin word in the edge-transvection representation."""
-    return EdgeTransvectionRep.from_graph(graph).image(word)
+    return rank_one_product(e, factor, word)
 
 
 def wreath_symplectic(q: int, g: int, sigma: BraidWord, fs: Sequence[ExactMatrix]) -> ExactMatrix:

@@ -1,6 +1,9 @@
+import itertools
+from collections import Counter
+
 import pytest
 
-from braidtiles.graphs import HalfEdge, MarkedGraph
+from braidtiles.graphs import HalfEdge, MarkedGraph, edge_neighbors
 
 
 def test_half_edge_validation():
@@ -60,19 +63,14 @@ def test_path():
 
 def test_degrees_and_neighbors():
     g = MarkedGraph(5, ((1, 2), (2, 4), (3, 4), (4, 5)))
-    assert g.max_degree() == 3
+    assert Counter(itertools.chain(*g.edges)) == {1: 1, 2: 2, 3: 1, 4: 3, 5: 1}
+    assert edge_neighbors(g.edges) == [{1}, {0, 2, 3}, {1, 3}, {1, 2}]
 
 
 def test_components():
     g = MarkedGraph(5, ((1, 2), (4, 5)))
     assert g.components() == ((1, 2), (3,), (4, 5))
     assert MarkedGraph(0, ()).components() == ()
-
-
-def test_is_forest():
-    assert MarkedGraph.path(4).is_forest()
-    assert MarkedGraph(3, ()).is_forest()
-    assert not MarkedGraph(3, ((1, 2), (1, 3), (2, 3))).is_forest()
 
 
 def test_json_round_trip():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,7 +8,6 @@ from braidtiles import artin, braid, tiles
 from braidtiles.braid import BraidWord, parse_braid_word
 from braidtiles.graphs import MarkedGraph
 from braidtiles.homs import (
-    EdgeTransvectionRep,
     MirroredPair,
     band_generator,
     block_permutation_image,
@@ -19,7 +19,7 @@ from braidtiles.homs import (
     mirrored_pair,
     wreath_symplectic,
 )
-from braidtiles.linalg import ExactMatrix, SymplecticForm, is_symplectic
+from braidtiles.linalg import ExactMatrix, SymplecticForm, is_symplectic, rank_one_product
 
 WITNESS_GRAPH = MarkedGraph(5, ((1, 2), (2, 4), (3, 4), (4, 5)))
 
@@ -177,57 +177,49 @@ def test_half_twist_letter_validation():
 
 # -- transvections over a graph's edges ---------------------------------------------
 
-def _signed_rep(graph, signs):
-    """The edge representation in which each adjacent pair (a, b), a < b,
-    0-based, pairs to ``signs[a, b]``; the constructor validates it."""
-    e = len(graph.edges)
-    rows = [[0] * e for _ in range(e)]
-    for (a, b), s in signs.items():
-        rows[a][b], rows[b][a] = s, -s
-    return EdgeTransvectionRep(graph.edges, ExactMatrix.from_rows(rows, cols=e))
+class _Signed:
+    """Edge transvections in which each adjacent pair (a, b), a < b, 0-based,
+    pairs to ``signs[a, b]`` and its mirror to the opposite sign: ``pairing``
+    is that pairing dense, and ``image`` folds its columns, read at their
+    nonzeros, through ``rank_one_product``."""
+
+    def __init__(self, graph, signs):
+        e = len(graph.edges)
+        rows = [[0] * e for _ in range(e)]
+        for (a, b), s in signs.items():
+            rows[a][b], rows[b][a] = s, -s
+        self.pairing = ExactMatrix.from_rows(rows, cols=e)
+        self.columns = [[(b, rows[b][a]) for b in range(e) if rows[b][a]] for a in range(e)]
+
+    def image(self, word):
+        return rank_one_product(len(self.columns), lambda i: (self.columns[i - 1], ((i - 1, 1),)), word)
 
 
 def test_edge_rep_default_pairing():
-    rep = EdgeTransvectionRep.from_graph(MarkedGraph.path(3))
-    assert rep.pairing.entries == ((0, 1), (-1, 0))
-    assert rep.image((1,)).entries == ((1, 0), (-1, 1))
+    # edges 1 < 2 pair to +1: v -> v - v_2 e_1 for edge 1, and v -> v + v_1 e_2 for edge 2
+    graph = MarkedGraph.path(3)
+    assert edge_transvection_image(graph, (1,)).entries == ((1, 0), (-1, 1))
+    assert edge_transvection_image(graph, (2,)).entries == ((1, 1), (0, 1))
 
 
 def test_edge_rep_braid_relation_all_signs():
     # adjacent transvections satisfy the braid relation under either sign
     graph = MarkedGraph.path(3)
     for s in (1, -1):
-        rep = _signed_rep(graph, {(0, 1): s})
+        rep = _Signed(graph, {(0, 1): s})
         t1, t2 = rep.image((1,)), rep.image((2,))
         assert t1 * t2 * t1 == t2 * t1 * t2
 
 
 def test_edge_rep_commutation():
-    rep = EdgeTransvectionRep.from_graph(MarkedGraph(4, ((1, 2), (3, 4))))
-    t1, t2 = rep.image((1,)), rep.image((2,))
+    graph = MarkedGraph(4, ((1, 2), (3, 4)))
+    t1, t2 = edge_transvection_image(graph, (1,)), edge_transvection_image(graph, (2,))
     assert t1 * t2 == t2 * t1
 
 
 def test_edge_rep_validation():
-    graph = MarkedGraph.path(3)
-    with pytest.raises(ValueError, match="±1"):
-        _signed_rep(graph, {(0, 1): 2})
-    with pytest.raises(ValueError):
-        EdgeTransvectionRep(((1, 2), (2, 3)), ExactMatrix.identity(2))
-    with pytest.raises(ValueError):
-        EdgeTransvectionRep(((1, 2), (2, 3)), ExactMatrix.from_rows([[0, 0], [0, 0]]))
-    with pytest.raises(ValueError, match="non-adjacent edges 1,2 must pair to 0"):
-        EdgeTransvectionRep(((1, 2), (3, 4)), ExactMatrix.from_rows([[0, 1], [-1, 0]]))
-    # the first fault is reported after rows that pass whole
-    path = ((1, 2), (2, 3), (3, 4))
-    with pytest.raises(ValueError, match="pairing must be skew-symmetric"):
-        EdgeTransvectionRep(path, ExactMatrix.from_rows([[0, 1, 0], [-1, 0, 1], [0, 1, 0]]))
-    with pytest.raises(ValueError, match="non-adjacent edges 2,4 must pair to 0"):
-        EdgeTransvectionRep(path + ((4, 5),), ExactMatrix.from_rows(
-            [[0, 1, 0, 0], [-1, 0, 1, 2], [0, -1, 0, 1], [0, -2, -1, 0]]))
-    assert EdgeTransvectionRep(path, ExactMatrix.from_rows([[0, -1, 0], [1, 0, 1], [0, -1, 0]])).pairing
     with pytest.raises(ValueError, match="edge index 9 outside 1..2"):
-        edge_transvection_image(graph, (9,))
+        edge_transvection_image(MarkedGraph.path(3), (9,))
 
 
 def _full_edges(graph):
@@ -256,7 +248,7 @@ def test_edge_rep_well_defined_under_every_sign_assignment():
         pres = artin.presentation_from_graph(graph)
         pairs = _adjacent_pairs(graph)
         for values in itertools.product((1, -1), repeat=len(pairs)):
-            rep = _signed_rep(graph, dict(zip(pairs, values)))
+            rep = _Signed(graph, dict(zip(pairs, values)))
             factors = {i: rep.image((i,)) for i in range(1, len(graph.edges) + 1)}
             for rel in pres.relators:
                 assert _dense_image(factors, rel).is_identity()
@@ -269,7 +261,7 @@ def test_edge_rep_random_signs_on_larger_tiles():
         graph = _full_edges(tiles.marked_graph_of(expr))
         pres = artin.presentation_from_graph(graph)
         pairs = _adjacent_pairs(graph)
-        rep = _signed_rep(graph, {p: rng.choice([1, -1]) for p in pairs})
+        rep = _Signed(graph, {p: rng.choice([1, -1]) for p in pairs})
         for rel in pres.relators:
             assert rep.image(rel).is_identity()
 
@@ -288,7 +280,7 @@ def test_chain_basis_compatibility():
             for b in range(a + 1, len(chains))
             if abs(a - b) == 1
         }
-        rep = _signed_rep(MarkedGraph.path(2 * g), gram_signs)
+        rep = _Signed(MarkedGraph.path(2 * g), gram_signs)
         for _ in range(8):
             word = rand_word(rng, 2 * g, rng.randint(0, 6))
             restricted = rep.image(word.letters)
@@ -327,11 +319,11 @@ def test_symplectic_fold_matches_dense_product():
             assert braid_to_symplectic(g, word) == _dense_image(factors, word.letters)
 
 
-def _edge_transvection(rep, i):
+def _edge_transvection(pairing, i):
     """The identity with column i shifted by the pairing column of edge i."""
-    e = len(rep.edges)
+    e = pairing.rows
     return ExactMatrix.from_rows([
-        [int(a == c) + (rep.pairing.entries[a][i - 1] if c == i - 1 else 0) for c in range(e)] for a in range(e)
+        [int(a == c) + (pairing.entries[a][i - 1] if c == i - 1 else 0) for c in range(e)] for a in range(e)
     ])
 
 
@@ -341,10 +333,10 @@ def test_edge_fold_matches_dense_product():
     for expr in rng.sample(pool, 10):
         graph = _full_edges(tiles.marked_graph_of(expr))
         pairs = _adjacent_pairs(graph)
-        rep = _signed_rep(graph, {p: rng.choice([1, -1]) for p in pairs})
-        default = _signed_rep(graph, dict.fromkeys(pairs, 1))
+        rep = _Signed(graph, {p: rng.choice([1, -1]) for p in pairs})
+        default = _Signed(graph, dict.fromkeys(pairs, 1))
         e = len(graph.edges)
-        factors = {i: _edge_transvection(rep, i) for i in range(1, e + 1)}
+        factors = {i: _edge_transvection(rep.pairing, i) for i in range(1, e + 1)}
         for _ in range(4):
             word = tuple(rng.choice([1, -1]) * rng.randint(1, e) for _ in range(rng.randint(0, 24)))
             assert rep.image(word) == _dense_image(factors, word)
@@ -352,8 +344,8 @@ def test_edge_fold_matches_dense_product():
 
 
 def _default_pairing(graph):
-    """The pairing ``from_graph`` stands for, entry by entry: +1 on an
-    adjacent pair a < b, -1 on its mirror, 0 elsewhere."""
+    """The pairing ``edge_transvection_image`` stands for, entry by entry:
+    +1 on an adjacent pair a < b, -1 on its mirror, 0 elsewhere."""
     e, adjacent = len(graph.edges), set(_adjacent_pairs(graph))
     return ExactMatrix.from_rows(
         [[1 if (a, b) in adjacent else -1 if (b, a) in adjacent else 0 for b in range(e)] for a in range(e)], cols=e
@@ -387,24 +379,24 @@ def test_images_match_dense_references_with_a_warm_memo():
             graphs.setdefault(graph.edges, graph)
     for graph in graphs.values():
         e = len(graph.edges)
-        signed = _signed_rep(graph, {p: rng.choice([1, -1]) for p in _adjacent_pairs(graph)})
-        default = EdgeTransvectionRep(graph.edges, _default_pairing(graph))
+        signed = _Signed(graph, {p: rng.choice([1, -1]) for p in _adjacent_pairs(graph)})
+        default = _default_pairing(graph)
         word = tuple(rng.choice([1, -1]) * rng.randint(1, e) for _ in range(rng.randint(0, 12)))
         jobs.append(("graph", graph, {
-            "signed": (signed, {i: _edge_transvection(signed, i) for i in range(1, e + 1)}),
-            "default": (default, {i: _edge_transvection(default, i) for i in range(1, e + 1)}),
+            "signed": (signed, {i: _edge_transvection(signed.pairing, i) for i in range(1, e + 1)}),
+            "default": {i: _edge_transvection(default, i) for i in range(1, e + 1)},
             "coxeter": {i: _dense_reflection(graph, i) for i in range(1, e + 1)},
         }, word))
     chain = _full_edges(tiles.marked_graph_of(tiles.parse_tile_expression(" ; ".join(["F"] * 100))))
-    chain_rep = EdgeTransvectionRep(chain.edges, _default_pairing(chain))
-    assert len(chain.edges) == 199 and chain_rep == EdgeTransvectionRep.from_graph(chain)
-    assert chain_rep.pairing == EdgeTransvectionRep.from_graph(chain).pairing
+    chain_pairing, pairs = _default_pairing(chain), _adjacent_pairs(chain)
+    chain_rep = _Signed(chain, dict.fromkeys(pairs, 1))
+    assert len(chain.edges) == 199 and chain_rep.pairing == chain_pairing
     # (I + N)^-1 = I - N for these N, so an inverse letter's dense reference
     # is the transvection of the negated pairing, all signs flipped
-    flipped = _signed_rep(chain, dict.fromkeys(_adjacent_pairs(chain), -1))
+    flipped = _Signed(chain, dict.fromkeys(pairs, -1)).pairing
     for l in (1, -7, 100, -199, 198):
-        jobs.append(("chain letter", l, _edge_transvection(chain_rep if l > 0 else flipped, abs(l)), None))
-    jobs.append(("chain word", (57, -58), {i: _edge_transvection(chain_rep, i) for i in (57, 58)}, None))
+        jobs.append(("chain letter", l, _edge_transvection(chain_pairing if l > 0 else flipped, abs(l)), None))
+    jobs.append(("chain word", (57, -58), {i: _edge_transvection(chain_pairing, i) for i in (57, 58)}, None))
     jobs.append(("chain pairing", tuple(rng.choice([1, -1]) * rng.randint(1, 199) for _ in range(60)), None, None))
     rng.shuffle(jobs)
     for kind, x, reference, word in jobs:
@@ -413,8 +405,7 @@ def test_images_match_dense_references_with_a_warm_memo():
         elif kind == "graph":
             signed, factors = reference["signed"]
             assert signed.image(word) == _dense_image(factors, word)
-            default, factors = reference["default"]
-            assert edge_transvection_image(x, word) == default.image(word) == _dense_image(factors, word)
+            assert edge_transvection_image(x, word) == _dense_image(reference["default"], word)
             coxeter = artin.CoxeterSystem.from_graph(x).image(word)
             assert coxeter == _dense_image(reference["coxeter"], [abs(l) for l in word])
         elif kind == "chain letter":
@@ -423,6 +414,41 @@ def test_images_match_dense_references_with_a_warm_memo():
             assert edge_transvection_image(chain, x) == _dense_image(reference, x)
         else:
             assert edge_transvection_image(chain, x) == chain_rep.image(x)
+
+
+def _graphs_no_tile_makes():
+    """Seeded graphs with cycles, points on four or more edges, isolated
+    points, and edges given out of order (``MarkedGraph`` sorts them)."""
+    graphs = [
+        MarkedGraph(6, ((1, 5), (1, 2), (1, 6), (1, 3))),  # a star of degree 4 beside an isolated point
+        MarkedGraph(4, ((3, 4), (1, 2), (2, 3), (1, 4))),  # a 4-cycle
+        MarkedGraph(6, ((2, 3), (1, 3), (1, 2), (4, 5))),  # a triangle, a disjoint edge, an isolated point
+    ]
+    rng = random.Random(41)
+    for _ in range(40):
+        points = rng.randint(2, 8)
+        pairs = list(itertools.combinations(range(1, points + 1), 2))
+        graphs.append(MarkedGraph(points, tuple(rng.sample(pairs, rng.randint(1, min(len(pairs), 12))))))
+    return graphs
+
+
+def test_edge_images_on_graphs_no_tile_makes():
+    # tiles make forests with degree at most 3; the fold reads any adjacency
+    graphs = _graphs_no_tile_makes()
+    degrees = [Counter(itertools.chain(*g.edges)) for g in graphs]
+    assert any(len(g.edges) > g.points - len(g.components()) for g in graphs)
+    assert any(max(d.values()) >= 4 for d in degrees)
+    assert any(len(d) < g.points for g, d in zip(graphs, degrees))
+    rng = random.Random(42)
+    for graph in graphs:
+        e = len(graph.edges)
+        for rel in artin.presentation_from_graph(graph).relators:
+            assert edge_transvection_image(graph, rel).is_identity(), (graph, rel)
+        pairing = _default_pairing(graph)
+        factors = {i: _edge_transvection(pairing, i) for i in range(1, e + 1)}
+        for _ in range(3):
+            word = tuple(rng.choice([1, -1]) * rng.randint(1, e) for _ in range(rng.randint(0, 16)))
+            assert edge_transvection_image(graph, word) == _dense_image(factors, word), (graph, word)
 
 
 # -- blockwise wreath images ----------------------------------------------------------
