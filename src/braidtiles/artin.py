@@ -12,6 +12,8 @@ quotient kills information, so a word whose reflection image is not the
 identity is certainly nontrivial, while the identity image decides
 nothing.  The reflection images are integer matrices: a graph's Coxeter
 labels, 3 for neighbouring edges and 2 otherwise, make -2B(a_t, a_s) 1 or 0.
+``CoxeterSystem`` holds its graph alone, and it and ``certify_nontrivial``
+read each reflection from the adjacency (``_reflection_factor``).
 
 The matrix work here costs by adjacency: a reflection rewrites one column
 from its neighbours' columns, a certificate compares only the columns its
@@ -25,12 +27,13 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .graphs import MarkedGraph, edge_neighbors
 from .linalg import (
     WORD,
     ExactMatrix,
+    Terms,
     _smith_diagonal,
     json_field,
     json_int,
@@ -185,51 +188,41 @@ def abelianization(pres: Presentation) -> AbelianInvariants:
     )
 
 
+def _reflection_factor(graph: MarkedGraph) -> Callable[[int], tuple[Terms, Terms]]:
+    """s -> (u, d) of the s-th simple reflection x -> x - 2B(x, a_s) a_s on
+    row vectors, as their nonzeros (index, coefficient), read from the graph's
+    adjacency (``edge_neighbors``): its matrix I + u^T d is the identity
+    with column s replaced.  B(a_t, a_s) = -cos(pi / label) is 1 for t = s,
+    -1/2 for a neighbour (label 3) and 0 otherwise (label 2), so u =
+    -2B(., a_s) is 1 at each neighbour, in ascending order, and -2 at s, and
+    d = a_s."""
+    r, neighbors = len(graph.edges), edge_neighbors(graph.edges)
+
+    def factor(s: int) -> tuple[Terms, Terms]:
+        if not (1 <= s <= r):
+            raise PresentationError(f"generator {s} outside 1..{r}")
+        return [(t, 1) for t in sorted(neighbors[s - 1])] + [(s - 1, -2)], [(s - 1, 1)]
+
+    return factor
+
+
 @dataclass(frozen=True)
 class CoxeterSystem:
-    """Coxeter system of a graph's edges, kept as adjacency, not labels:
-    ``neighbors[a]`` holds the 0-based indices of the edges sharing a vertex
-    with edge a (``graphs.edge_neighbors``).  Neighbours have label 3, other
-    distinct pairs 2: the only labels that graphs produce."""
+    """Coxeter system of a graph's edges: edges that share a vertex have
+    label 3, other distinct pairs 2, the only labels that graphs produce.
+    It holds the checked graph alone and checks nothing again."""
 
-    neighbors: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "neighbors", tuple(map(frozenset, self.neighbors)))
-        r = len(self.neighbors)
-        for a, around in enumerate(self.neighbors):
-            for b in around:
-                if not 0 <= b < r:
-                    raise ValueError(f"neighbors[{a}] holds {b}, outside 0..{r - 1}")
-                if b == a:
-                    raise ValueError(f"neighbors[{a}] holds its own index")
-                if a not in self.neighbors[b]:
-                    raise ValueError(f"neighbors[{a}] holds {b} but neighbors[{b}] does not hold {a}")
-
-    @staticmethod
-    def from_graph(graph: MarkedGraph) -> "CoxeterSystem":
-        return CoxeterSystem(edge_neighbors(graph.edges))
+    graph: MarkedGraph
 
     @property
     def rank(self) -> int:
-        return len(self.neighbors)
-
-    def _factor(self, s: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """(u, d) of the s-th simple reflection x -> x - 2B(x, a_s) a_s on
-        row vectors, as their nonzeros (index, coefficient); its matrix
-        I + u^T d is the identity with column s replaced.  B(a_t, a_s) =
-        -cos(pi / label) is 1 for t = s, -1/2 for a neighbour (label 3) and
-        0 otherwise (label 2), so u = -2B(., a_s) is 1 at each neighbour and
-        -2 at s, and d = a_s."""
-        if not (1 <= s <= self.rank):
-            raise PresentationError(f"generator {s} outside 1..{self.rank}")
-        return [(t, 1) for t in self.neighbors[s - 1]] + [(s - 1, -2)], [(s - 1, 1)]
+        return len(self.graph.edges)
 
     def image(self, word: Iterable[int]) -> ExactMatrix:
         """Image of a word in the reflection representation; a generator and
         its inverse map to the same reflection (reflections are involutions),
         letters act left to right on row vectors."""
-        return rank_one_product(self.rank, self._factor, map(abs, word))
+        return rank_one_product(self.rank, _reflection_factor(self.graph), map(abs, word))
 
 
 class Certificate(enum.Enum):
@@ -245,6 +238,5 @@ def certify_nontrivial(graph: MarkedGraph, word: Iterable[int]) -> Certificate:
     columns the word rewrites, each a combination of its generator's
     neighbour columns, and only those are compared with unit vectors
     (``linalg.rank_one_is_identity``)."""
-    system = CoxeterSystem.from_graph(graph)
-    trivial = rank_one_is_identity(system.rank, system._factor, map(abs, word))
+    trivial = rank_one_is_identity(len(graph.edges), _reflection_factor(graph), map(abs, word))
     return Certificate.INCONCLUSIVE if trivial else Certificate.NONTRIVIAL

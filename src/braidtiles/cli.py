@@ -121,7 +121,7 @@ def _cmd_artin_abelianize(args: argparse.Namespace) -> Result:
 
 def _cmd_artin_coxeter(args: argparse.Namespace) -> Result:
     graph, word = _graph_and_word(args)
-    return _shown(artin.CoxeterSystem.from_graph(graph).image(word))
+    return _shown(artin.CoxeterSystem(graph).image(word))
 
 
 def _cmd_artin_certify(args: argparse.Namespace) -> Result:

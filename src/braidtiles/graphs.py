@@ -5,13 +5,14 @@ the marked points they came from).  Full edges join distinct vertices; a
 half-edge hangs off one vertex and records which boundary interval of the
 ambient diagram it points at, so later gluing can complete it into a full
 edge.  Only full edges count for degrees and for the Artin presentation.
+A ``HalfEdge`` is a plain named tuple: the ``MarkedGraph`` holding it is
+the one check of its side, interval and point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import json_field, json_int
 
@@ -34,8 +35,7 @@ def edge_neighbors(edges: Sequence[tuple[int, int]]) -> list[set[int]]:
     return neighbors
 
 
-@dataclass(frozen=True, order=True)
-class HalfEdge:
+class HalfEdge(NamedTuple):
     """Dangling edge end at ``point``, anchored to boundary interval
     ``interval`` (1-based) on the given side of the diagram."""
 
@@ -43,18 +43,19 @@ class HalfEdge:
     side: str
     interval: int
 
-    def __post_init__(self) -> None:
-        if self.side not in _SIDES:
-            raise ValueError(f"half-edge side must be 'in' or 'out', got {self.side!r}")
-        if self.interval < 1:
-            raise ValueError(f"boundary interval must be >= 1, got {self.interval}")
-
     def __str__(self) -> str:
         return f"{self.side}{self.interval}->{self.point}"
 
 
-# the dataclass order of HalfEdge, read at C speed
-_half_edge_key = attrgetter("point", "side", "interval")
+def _check_half_edges(halves: Sequence[HalfEdge]) -> None:
+    """Raise for the first entry that is not a HalfEdge or has a bad side or interval."""
+    for h in halves:
+        if type(h) is not HalfEdge:
+            raise TypeError(f"half-edge {h!r} is not a HalfEdge")
+        if h.side not in _SIDES:
+            raise ValueError(f"half-edge side must be 'in' or 'out', got {h.side!r}")
+        if h.interval < 1:
+            raise ValueError(f"boundary interval must be >= 1, got {h.interval}")
 
 
 @dataclass(frozen=True)
@@ -69,15 +70,16 @@ class MarkedGraph:
             raise ValueError("point count must be nonnegative")
         if not all(1 <= a < b <= n for a, b in self.edges) or len(set(self.edges)) < len(self.edges):
             raise self._first_fault()
-        halves = sorted(self.half_edges, key=_half_edge_key)
+        _check_half_edges(self.half_edges)
+        halves = sorted(self.half_edges)  # by point, then side, then interval
         if halves and not 1 <= halves[0].point <= halves[-1].point <= n:
             raise self._first_fault()
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
         object.__setattr__(self, "half_edges", tuple(halves))
 
     def _first_fault(self) -> ValueError:
-        """The error for the first bad edge, else the first bad half-edge,
-        in input order; the caller has found that there is one."""
+        """The error for the first bad edge, else the first half-edge point
+        out of range, in input order; the caller has found that there is one."""
         n = self.points
         seen: set[tuple[int, int]] = set()
         for a, b in self.edges:
@@ -138,6 +140,7 @@ class MarkedGraph:
                 HalfEdge(json_int(h["point"]), str(h["side"]), json_int(h["interval"]))
                 for h in obj.get("half_edges", ())
             )
+            _check_half_edges(half_edges)
         return MarkedGraph(points, edges, half_edges)
 
     def __str__(self) -> str:

@@ -391,7 +391,7 @@ def is_symplectic(m: ExactMatrix, form: SymplecticForm) -> bool:
     """
     if m.rows != form.dim or m.cols != form.dim:
         raise ValueError(f"expected a {form.dim}x{form.dim} matrix, got {m.rows}x{m.cols}")
-    pair, rows, basis = form.pairing, m.entries, ExactMatrix.identity(form.dim).entries
+    pair, rows, basis = form.pairing, m.entries, _identity_rows(form.dim)
     return all(
         pair(rows[a], rows[b]) == pair(basis[a], basis[b])
         for a in range(form.dim) for b in range(a + 1, form.dim)

@@ -207,6 +207,27 @@ def test_artin_bad_graph_json_exits_2(capsys, argv):
         assert err.startswith("error: invalid scalar '1_0'")
 
 
+@pytest.mark.parametrize(
+    "edges, half_edge, message",
+    [
+        ([], {"point": 1, "side": "up", "interval": 1},
+         "graph JSON field 'half_edges': half-edge side must be 'in' or 'out', got 'up'"),
+        ([], {"point": 1, "side": "in", "interval": 0},
+         "graph JSON field 'half_edges': boundary interval must be >= 1, got 0"),
+        # JSON half-edges are checked as they are read, before the graph checks its edges
+        ([[2, 7]], {"point": 1, "side": "up", "interval": 1},
+         "graph JSON field 'half_edges': half-edge side must be 'in' or 'out', got 'up'"),
+        # a half-edge's point is checked by the graph, after its edges
+        ([[2, 7]], {"point": 9, "side": "in", "interval": 1}, "edge (2,7) is not an ordered pair of points 1..3"),
+    ],
+    ids=["bad-side", "zero-interval", "bad-edge-and-bad-side", "bad-edge-and-bad-point"],
+)
+def test_malformed_half_edges_exit_2_with_their_message(capsys, edges, half_edge, message):
+    graph = json.dumps({"points": 3, "edges": edges, "half_edges": [half_edge]})
+    code, out, err = run(capsys, "artin", "abelianize", "--graph", graph)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("flag", ["--graph", "--presentation"])
 def test_deeply_nested_json_exits_2(capsys, flag):
     code, out, err = run(capsys, "artin", "abelianize", flag, "[" * 30_000 + "]" * 30_000)

@@ -7,11 +7,19 @@ from braidtiles.graphs import HalfEdge, MarkedGraph, edge_neighbors
 
 
 def test_half_edge_validation():
-    with pytest.raises(ValueError):
-        HalfEdge(1, "up", 1)
-    with pytest.raises(ValueError):
-        HalfEdge(1, "in", 0)
+    # a HalfEdge is a plain tuple; the graph that holds it checks its side and interval
+    bad = [(HalfEdge(1, "up", 1), r"^half-edge side must be 'in' or 'out', got 'up'$"),
+           (HalfEdge(1, "in", 0), r"^boundary interval must be >= 1, got 0$")]
+    for h, message in bad:
+        with pytest.raises(ValueError, match=message):
+            MarkedGraph(2, (), (HalfEdge(2, "out", 1), h))
+        with pytest.raises(ValueError, match=r"^graph JSON field 'half_edges': " + message[1:]):
+            MarkedGraph.from_json_obj({"points": 2, "half_edges": [h._asdict()]})
     assert str(HalfEdge(3, "out", 2)) == "out2->3"
+    # anything else, a plain tuple included, fails when the graph is built
+    for h in [(1, "in", 1), [1, "in", 1], "in1->1", None]:
+        with pytest.raises(TypeError, match=r"is not a HalfEdge$"):
+            MarkedGraph(2, (), (HalfEdge(1, "in", 1), h))
 
 
 def test_graph_validation():
@@ -37,6 +45,8 @@ def test_graph_errors_name_the_first_fault_in_input_order():
     # a bad edge is reported before a bad half-edge, and half-edges in input order
     with pytest.raises(ValueError, match=r"^edge \(2,7\)"):
         MarkedGraph(3, ((2, 7),), (HalfEdge(9, "in", 1),))
+    with pytest.raises(ValueError, match=r"^edge \(2,7\)"):
+        MarkedGraph(3, ((2, 7),), (HalfEdge(1, "up", 1),))
     with pytest.raises(ValueError, match=r"^half-edge at point 4 out of range 1\.\.2$"):
         MarkedGraph(2, ((1, 2),), (HalfEdge(1, "in", 1), HalfEdge(4, "in", 2), HalfEdge(0, "out", 1)))
 
@@ -46,7 +56,7 @@ def test_half_edges_sort_by_point_then_in_before_out_then_interval():
               HalfEdge(1, "out", 4))
     g = MarkedGraph(2, (), halves)
     assert [str(h) for h in g.half_edges] == ["in2->1", "in3->1", "out1->1", "out4->1", "in1->2"]
-    assert g.half_edges == tuple(sorted(halves))  # the dataclass order
+    assert g.half_edges == tuple(sorted(halves))  # the tuple order of (point, side, interval)
 
 
 def test_edges_are_stored_sorted():

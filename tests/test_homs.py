@@ -406,7 +406,7 @@ def test_images_match_dense_references_with_a_warm_memo():
             signed, factors = reference["signed"]
             assert signed.image(word) == _dense_image(factors, word)
             assert edge_transvection_image(x, word) == _dense_image(reference["default"], word)
-            coxeter = artin.CoxeterSystem.from_graph(x).image(word)
+            coxeter = artin.CoxeterSystem(x).image(word)
             assert coxeter == _dense_image(reference["coxeter"], [abs(l) for l in word])
         elif kind == "chain letter":
             assert edge_transvection_image(chain, (x,)) == reference
