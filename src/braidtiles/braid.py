@@ -36,7 +36,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import SPACE, WORD
+from .linalg import SPACE, WORD, long_numeral
 
 # Rewrites per word before handle reduction gives up (exit 3 in the CLI).
 # The largest counts measured sit at least 20 times below it: 1,621 over
@@ -444,7 +444,10 @@ def parse_braid_word(text: str) -> BraidWord:
     m = _HEADER_RE.match(text)
     if not m:
         raise BraidParseError("expected a header like 'b3:'", 0)
-    n = int(m.group(1))
+    try:
+        n = int(m.group(1))
+    except ValueError:  # more digits than int() converts
+        raise BraidParseError(long_numeral(m.group(1)), m.start(1)) from None
     if n < 1:
         raise BraidParseError("strand count must be at least 1", m.start(1))
     body_start = m.end()
@@ -460,7 +463,10 @@ def parse_braid_word(text: str) -> BraidWord:
         lm = _LETTER_RE.match(tok)
         if not lm:
             raise BraidParseError(f"unexpected token {tok!r}", pos)
-        i = int(lm.group(1))
+        try:
+            i = int(lm.group(1))
+        except ValueError:
+            raise BraidParseError(long_numeral(lm.group(1)), pos) from None
         if not 1 <= i <= n - 1:
             raise BraidParseError(f"generator s{i} out of range for {n} strands", pos)
         letters.append(-i if lm.group(2) else i)

@@ -43,6 +43,7 @@ import heapq
 import itertools
 import operator
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,6 +65,12 @@ def _norm(x: Scalar) -> Scalar:
 
 SPACE = " \t\n\r"  # the spaces of every text format: ASCII only, as in JSON
 WORD = re.compile(f"[^{SPACE}]+")  # a maximal run of anything else
+
+
+def long_numeral(digits: str) -> str:
+    """The text parsers' message for a numeral that ``int`` refuses: one of
+    more digits than ``sys.get_int_max_str_digits()``."""
+    return f"numeral too long: {len(digits)} digits, the limit is {sys.get_int_max_str_digits()}"
 
 
 def decimal(text: str) -> int:

@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import reduce
+from itertools import chain, islice
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .artin import Presentation, presentation_from_graph
 from .graphs import HalfEdge, MarkedGraph
-from .linalg import SPACE
+from .linalg import SPACE, long_numeral
 
 _ARITY = {"D": (0, 1), "P": (2, 1), "F": (1, 1)}
 _POINTS = {"D": 0, "P": 1, "F": 2}
@@ -124,10 +125,7 @@ class ComposeExpr(TileExpr):
 
     def __post_init__(self) -> None:
         if self.first.cod != self.second.dom:
-            raise ValueError(
-                f"cannot glue: left tile produces {self.first.cod} intervals, "
-                f"right tile expects {self.second.dom}"
-            )
+            raise ValueError(_glue_message(self.first.cod, self.second.dom))
         self._arity(self.first.dom, self.second.cod)
 
 
@@ -143,6 +141,43 @@ class UnionExpr(TileExpr):
 D = AtomExpr("D")
 P = AtomExpr("P")
 F = AtomExpr("F")
+_ATOMS = {"D": D, "P": P, "F": F}
+
+
+def _glue_message(cod: int, dom: int) -> str:
+    return f"cannot glue: left tile produces {cod} intervals, right tile expects {dom}"
+
+
+# Trusted builders, for terms whose arities are already known to fit: they
+# fill the slots through their descriptors, so no __init__, __post_init__ or
+# _arity frame runs.  User code goes through the validating classes.
+_new = object.__new__
+_set_dom = TileExpr.dom.__set__
+_set_cod = TileExpr.cod.__set__
+_set_first = ComposeExpr.first.__set__
+_set_second = ComposeExpr.second.__set__
+_set_left = UnionExpr.left.__set__
+_set_right = UnionExpr.right.__set__
+
+
+def _compose(first: TileExpr, second: TileExpr) -> TileExpr:
+    """``ComposeExpr(first, second)`` for ``first.cod == second.dom``."""
+    e = _new(ComposeExpr)
+    _set_first(e, first)
+    _set_second(e, second)
+    _set_dom(e, first.dom)
+    _set_cod(e, second.cod)
+    return e
+
+
+def _union(left: TileExpr, right: TileExpr) -> TileExpr:
+    """``UnionExpr(left, right)``."""
+    e = _new(UnionExpr)
+    _set_left(e, left)
+    _set_right(e, right)
+    _set_dom(e, left.dom + right.dom)
+    _set_cod(e, left.cod + right.cod)
+    return e
 
 
 def compose(*parts: TileExpr) -> TileExpr:
@@ -177,62 +212,82 @@ def parse_tile_expression(text: str) -> TileExpr:
     a union is terms side by side.  Each open parenthesis, and the text as
     a whole, has a frame: the gluing so far, the position of its last
     ``;``, and the union after that ``;``.  Frames live on a list, so
-    nesting depth is unbounded.  A frame's pending gluing is checked as soon
-    as its union ends, before any later error, as recursive descent would."""
-    tokens: list[tuple[str, int, int]] = []  # (kind, value-or-0, position)
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in SPACE:
-            i += 1
-            continue
-        if ch in "DPF;+()":
-            tokens.append((ch, 0, i))
-            i += 1
-            continue
-        m = _IDENTITY_TERM.match(text, i)
-        if m:
-            tokens.append(("1", int(m.group(1)), i))
-            i = m.end()
-            continue
-        raise TileParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("$", 0, len(text)))  # end of text
+    nesting depth is unbounded.
 
-    atoms = {"D": D, "P": P, "F": F}
+    One pass over the characters reads the tokens and grows the frames.  A
+    frame's pending gluing is checked as soon as its union ends, before any
+    later grammar error, as recursive descent would.  An unexpected
+    character anywhere comes first of all, as if the whole text were read
+    into tokens before parsing: before raising a grammar or gluing error,
+    the rest of the text is scanned for one."""
+    end = len(text)
+    chars = enumerate(text)
+    atoms = _ATOMS
     outer: list[tuple[TileExpr | None, int, TileExpr | None]] = []  # frames of the enclosing groups
     glued: TileExpr | None = None  # the innermost frame: its gluing so far,
     semi = 0  # the position of its last ";",
     union: TileExpr | None = None  # and the union after it
     want_term = True
-    for kind, value, at in tokens:
-        if want_term:
-            if kind == "(":
-                outer.append((glued, semi, union))
-                glued = union = None
-                continue
-            if kind not in "DPF1":
-                found = "" if kind == "$" else f", found {kind!r}"
-                raise TileParseError(f"expected a tile term{found}", at)
-            term = IdentityExpr(value) if kind == "1" else atoms[kind]
-        elif kind == "+":
-            want_term = True
+    for at, ch in chain(chars, ((end, "$"),)):  # "$" at position end: the end of the text
+        if ch in SPACE:
             continue
+        if want_term:
+            term = atoms.get(ch)
+            if term is None:
+                if ch == "(":
+                    outer.append((glued, semi, union))
+                    glued = union = None
+                    continue
+                m = _IDENTITY_TERM.match(text, at) if ch == "1" else None
+                if m is None:
+                    found = "" if at == end else f", found {ch!r}"
+                    raise _first_error(text, at, f"expected a tile term{found}", at)
+                try:
+                    width = int(m.group(1))
+                except ValueError:  # more digits than int() converts
+                    raise TileParseError(long_numeral(m.group(1)), at) from None
+                term = IdentityExpr(width)
+                next(islice(chars, m.end() - at - 2, None))  # skip the rest of the term
+            union = term if union is None else _union(union, term)
+            want_term = False
+        elif ch == "+":
+            want_term = True
         else:  # anything else ends the innermost union, so its gluing is checked first
-            try:
-                term = union if glued is None else ComposeExpr(glued, union)
-            except ValueError as exc:
-                raise TileParseError(str(exc), semi) from None
-            if kind == ";":
-                glued, semi, union, want_term = term, at, None, True
-                continue
-            if kind == "$" and not outer:
-                break
-            if kind != ")" or not outer:
-                raise TileParseError("missing ')'" if outer else f"unexpected {kind!r}", at)
-            glued, semi, union = outer.pop()  # the closed group is a term of the enclosing one
-        union = term if union is None else UnionExpr(union, term)
-        want_term = False
-    return term
+            if glued is not None:
+                if glued.cod != union.dom:
+                    raise _first_error(text, at, _glue_message(glued.cod, union.dom), semi)
+                union = _compose(glued, union)
+            if ch == ";":
+                glued, semi, union, want_term = union, at, None, True
+            elif ch == ")" and outer:  # the closed group is a term of the enclosing one
+                term = union
+                glued, semi, union = outer.pop()
+                union = term if union is None else _union(union, term)
+            elif at == end and not outer:
+                return union
+            else:
+                raise _first_error(text, at, "missing ')'" if outer else f"unexpected {ch!r}", at)
+
+
+def _first_error(text: str, start: int, message: str, position: int) -> TileParseError:
+    """The error for a grammar fault met at ``start``: the first unexpected
+    character from ``start`` on, since the parser has read every character
+    before it, else the fault itself."""
+    i, end = start, len(text)
+    while i < end:
+        ch = text[i]
+        if ch in SPACE or ch in "DPF;+()":
+            i += 1
+            continue
+        m = _IDENTITY_TERM.match(text, i)
+        if m is None:
+            return TileParseError(f"unexpected character {ch!r}", i)
+        try:
+            int(m.group(1))
+        except ValueError:
+            return TileParseError(long_numeral(m.group(1)), i)
+        i = m.end()
+    return TileParseError(message, position)
 
 
 def format_tile_expression(expr: TileExpr) -> str:
@@ -378,7 +433,7 @@ def to_expression(nf: TileNormalForm) -> TileExpr:
     the last atom back."""
     trees: list[TileExpr] = [AtomExpr(tag) for tag in nf.tags]
 
-    def union_of(wires: Sequence[int]) -> TileExpr:
+    def union_of(wires: Sequence[int]) -> TileExpr:  # produces len(wires) intervals
         terms: list[TileExpr] = []
         run = 0
         for w in wires:
@@ -391,14 +446,18 @@ def to_expression(nf: TileNormalForm) -> TileExpr:
             terms.append(trees[w])
         if run:
             terms.append(IdentityExpr(run))
-        return disjoint_union(*terms)
+        return reduce(_union, terms) if terms else IdentityExpr(0)
 
     for r in reversed(range(len(trees))):
-        children = [w for w in nf.inputs[r] if w >= 0]
+        wires = nf.inputs[r]
+        children = [w for w in wires if w >= 0]
         if any(i <= r for i in children):
             raise ValueError(f"not a normal form: atom {r} reads atom {min(children)}")
         if children:
-            trees[r] = ComposeExpr(union_of(nf.inputs[r]), trees[r])
+            atom = trees[r]
+            if len(wires) != atom.dom:
+                raise ValueError(_glue_message(len(wires), atom.dom))
+            trees[r] = _compose(union_of(wires), atom)
     return union_of(nf.outputs)
 
 
@@ -483,20 +542,21 @@ def enumerate_trees(max_atoms: int) -> tuple[tuple[TileExpr, ...], ...]:
     if max_atoms < 0:
         raise ValueError("atom budget must be nonnegative")
     by_size: list[list[TileExpr]] = [[] for _ in range(max_atoms)]
+    wire = IdentityExpr(1)
     for n in range(1, max_atoms + 1):
         out = by_size[n - 1]
         if n == 1:
             out.extend((D, F, P))
-        else:
+        else:  # every tree has one output, so each gluing below fits
             for sub in by_size[n - 2]:
-                out.append(ComposeExpr(sub, F))
+                out.append(_compose(sub, F))
             for sub in by_size[n - 2]:
-                out.append(ComposeExpr(UnionExpr(IdentityExpr(1), sub), P))
-                out.append(ComposeExpr(UnionExpr(sub, IdentityExpr(1)), P))
+                out.append(_compose(_union(wire, sub), P))
+                out.append(_compose(_union(sub, wire), P))
             for a in range(1, n - 1):
                 for left in by_size[a - 1]:
                     for right in by_size[n - 2 - a]:
-                        out.append(ComposeExpr(UnionExpr(left, right), P))
+                        out.append(_compose(_union(left, right), P))
     return tuple(tuple(group) for group in by_size)
 
 
@@ -533,4 +593,4 @@ def enumerate_tiles(max_atoms: int) -> Iterator[TileExpr]:
     """All tiles with 1..max_atoms atoms and no through-wires: ordered
     unions of trees.  Through-wire padding never changes the marked graph,
     so this is the whole supply of marked graphs at the budget."""
-    yield from _forests(enumerate_trees(max_atoms), UnionExpr)
+    yield from _forests(enumerate_trees(max_atoms), _union)

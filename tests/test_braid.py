@@ -2,6 +2,7 @@ import collections
 import itertools
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -119,6 +120,23 @@ def test_parse_empty_word():
 def test_parse_errors_carry_positions(text, position):
     with pytest.raises(BraidParseError) as err:
         parse_braid_word(text)
+    assert err.value.position == position
+
+
+NINES = "9" * 5000
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter converts numerals of any length")
+@pytest.mark.parametrize(
+    "text,position",
+    [(f"b{NINES}: s1", 1), (f"b3: s{NINES}", 4), (f"b3: s1 s{NINES}^-1", 7)],
+    ids=["strands", "generator", "inverse-generator"],
+)
+def test_numerals_past_the_int_digit_limit_are_parse_errors(text, position):
+    with pytest.raises(BraidParseError) as err:
+        parse_braid_word(text)
+    assert str(err.value) == f"numeral too long: 5000 digits, the limit is {DIGIT_LIMIT} (at position {position})"
     assert err.value.position == position
 
 

@@ -69,6 +69,28 @@ def test_format_parse_format_is_a_fixed_point(expr):
     assert format_tile_expression(parsed) == text
 
 
+def _rebuilt(expr: TileExpr) -> TileExpr:
+    """``expr`` rebuilt node by node with the public classes, which check
+    every arity; each node must keep its type, dom and cod."""
+    if isinstance(expr, ComposeExpr):
+        out = ComposeExpr(_rebuilt(expr.first), _rebuilt(expr.second))
+    elif isinstance(expr, UnionExpr):
+        out = UnionExpr(_rebuilt(expr.left), _rebuilt(expr.right))
+    elif isinstance(expr, AtomExpr):
+        out = AtomExpr(expr.tag)
+    else:
+        out = IdentityExpr(expr.width)
+    assert (type(out), out.dom, out.cod) == (type(expr), expr.dom, expr.cod)
+    return out
+
+
+@PROPERTY
+@given(expressions)
+def test_parsed_terms_match_the_public_constructors(expr):
+    parsed = parse_tile_expression(format_tile_expression(expr))
+    assert _rebuilt(parsed) == parsed
+
+
 @PROPERTY
 @given(expressions)
 def test_normal_form_survives_the_canonical_expression(expr):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -9,6 +10,8 @@ import pytest
 from braidtiles import artin, tiles
 from braidtiles.graphs import HalfEdge, MarkedGraph
 from braidtiles.tiles import (
+    AtomExpr,
+    ComposeExpr,
     D,
     F,
     IdentityExpr,
@@ -110,6 +113,47 @@ def test_parse_errors_carry_positions(text, position):
     assert err.value.position == position
 
 
+@pytest.mark.parametrize(
+    "text,message,position",
+    [
+        # an unexpected character anywhere beats every grammar and gluing error
+        ("F P Q", "unexpected character 'Q'", 4),
+        ("F ; P Q", "unexpected character 'Q'", 6),
+        ("P ; D ) Q", "unexpected character 'Q'", 8),
+        ("F + ; Q", "unexpected character 'Q'", 6),
+        ("F ; P )", "cannot glue: left tile produces 1 intervals, right tile expects 2", 2),
+    ],
+)
+def test_parse_errors_come_in_the_order_of_a_full_tokenization(text, message, position):
+    with pytest.raises(TileParseError) as err:
+        t(text)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+NINES = "9" * 5000
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter converts numerals of any length")
+@pytest.mark.parametrize(
+    "text,position",
+    [
+        (f"1_{NINES}", 0),
+        (f"F + 1_{NINES}", 4),
+        # the numeral is read as a token, so it comes before a grammar or gluing error
+        (f"F 1_{NINES}", 2),
+        (f"F ; P ) 1_{NINES}", 8),
+    ],
+    ids=["alone", "in-a-union", "after-a-term", "after-a-gluing-error"],
+)
+def test_numerals_past_the_int_digit_limit_are_parse_errors(text, position):
+    with pytest.raises(TileParseError) as err:
+        t(text)
+    assert str(err.value) == f"numeral too long: 5000 digits, the limit is {DIGIT_LIMIT} (at position {position})"
+    assert err.value.position == position
+
+
 def test_glue_mismatch_is_a_parse_error_with_position():
     with pytest.raises(TileParseError) as err:
         t("F ; P")
@@ -126,6 +170,32 @@ def test_identity_terms_parse_in_linear_time():
         return time.perf_counter() - started
 
     assert parse_seconds("1_1") <= 3 * parse_seconds("F")
+
+
+def _rebuilt(expr):
+    """``expr`` rebuilt node by node with the public classes, which check
+    every arity; each node must keep its type, dom and cod."""
+    if isinstance(expr, ComposeExpr):
+        out = ComposeExpr(_rebuilt(expr.first), _rebuilt(expr.second))
+    elif isinstance(expr, UnionExpr):
+        out = UnionExpr(_rebuilt(expr.left), _rebuilt(expr.right))
+    elif isinstance(expr, AtomExpr):
+        out = AtomExpr(expr.tag)
+    else:
+        out = IdentityExpr(expr.width)
+    assert (type(out), out.dom, out.cod) == (type(expr), expr.dom, expr.cod)
+    return out
+
+
+def test_unchecked_terms_match_the_public_constructors():
+    # enumeration, parsing and to_expression build their terms unchecked
+    forests = list(enumerate_tiles(4))
+    assert len(forests) == 921
+    trees = [e for level in enumerate_trees(5) for e in level]
+    for expr in forests + trees:
+        assert _rebuilt(expr) == expr
+        assert _rebuilt(t(format_tile_expression(expr))) == expr
+        assert _rebuilt(to_expression(normal_form(expr))) == to_expression(normal_form(expr))
 
 
 # -- normal forms ----------------------------------------------------------------
@@ -193,6 +263,13 @@ def test_normal_form_round_trips_through_expression():
     for expr in rng.sample(pool, 40):
         nf = normal_form(expr)
         assert normal_form(to_expression(nf)) == nf
+
+
+def test_to_expression_rejects_an_atom_with_the_wrong_number_of_inputs():
+    # P reads one wire where it takes two
+    nf = tiles.TileNormalForm(1, 1, ("P", "F"), ((1,), (~0,)), (0,))
+    with pytest.raises(ValueError, match="^cannot glue: left tile produces 1 intervals, right tile expects 2$"):
+        to_expression(nf)
 
 
 def test_interchange_frozen():
