@@ -15,6 +15,11 @@ labels, 3 for neighbouring edges and 2 otherwise, make -2B(a_t, a_s) 1 or 0.
 ``CoxeterSystem`` holds its graph alone, and it and ``certify_nontrivial``
 read each reflection from the adjacency (``_reflection_factor``).
 
+The public ``Presentation`` constructor and its JSON reader check their
+input.  A graph's presentation holds every invariant by construction (its
+generators are named g1, g2, ... and its relators use only them), so
+``presentation_from_graph`` builds it unchecked (``_presentation``).
+
 The matrix work here costs by adjacency: a reflection rewrites one column
 from its neighbours' columns, a certificate compares only the columns its
 word rewrote, and H_1 sums each relator's letters into a sparse row that
@@ -120,13 +125,24 @@ class Presentation:
         return f"< {gens} | {rels} >" if self.relators else f"< {gens} | >"
 
 
+def _presentation(generators: tuple[str, ...], relators: tuple[Word, ...]) -> Presentation:
+    """``Presentation(generators, relators)`` for distinct names and relators
+    whose letters are known to be in range: it fills the fields, with no
+    ``__init__`` or ``__post_init__`` frame."""
+    pres = object.__new__(Presentation)
+    fields = pres.__dict__
+    fields["generators"] = generators
+    fields["relators"] = relators
+    return pres
+
+
 def braid_presentation(k: int) -> Presentation:
     """Standard presentation of the braid group on k strands: the path
     graph's presentation with generators renamed s1..s(k-1)."""
     if k < 1:
         raise ValueError("strand count must be >= 1")
     pres = presentation_from_graph(MarkedGraph.path(k))
-    return Presentation(tuple(f"s{i}" for i in range(1, k)), pres.relators)
+    return _presentation(tuple(f"s{i}" for i in range(1, k)), pres.relators)
 
 
 def edge_generators(graph: MarkedGraph) -> tuple[str, ...]:
@@ -143,7 +159,7 @@ def presentation_from_graph(graph: MarkedGraph) -> Presentation:
         (a, b, a, -b, -a, -b) if b - 1 in neighbors[a - 1] else (a, b, -a, -b)
         for a, b in itertools.combinations(range(1, len(neighbors) + 1), 2)
     )
-    return Presentation(edge_generators(graph), relators)
+    return _presentation(edge_generators(graph), relators)
 
 
 @dataclass(frozen=True)

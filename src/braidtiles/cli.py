@@ -27,16 +27,26 @@ from typing import Sequence
 
 from . import artin, braid, homs, tiles, verify
 from .graphs import MarkedGraph
-from .linalg import ExactMatrix, decimal
+from .linalg import ExactMatrix, decimal, long_numeral
 from .reporting import Report
 
 Result = tuple[str, object]  # (human-readable text, JSON object)
 
 
-def _json_arg(text: str) -> object:
-    """Parse a JSON argument; nesting too deep to parse is a ValueError."""
+def _json_numeral(digits: str) -> int:
+    """A JSON integer literal; one of more digits than ``int`` converts is
+    named by its length, with no advice about interpreter settings."""
     try:
-        return json.loads(text)
+        return int(digits)
+    except ValueError:
+        raise ValueError(long_numeral(digits.lstrip("-"))) from None
+
+
+def _json_arg(text: str) -> object:
+    """Parse a JSON argument; nesting too deep to parse, or an integer too
+    long to convert, is a ValueError."""
+    try:
+        return json.loads(text, parse_int=_json_numeral)
     except RecursionError:
         raise ValueError("JSON argument is nested too deeply") from None
 

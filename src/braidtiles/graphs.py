@@ -7,12 +7,16 @@ ambient diagram it points at, so later gluing can complete it into a full
 edge.  Only full edges count for degrees and for the Artin presentation.
 A ``HalfEdge`` is a plain named tuple: the ``MarkedGraph`` holding it is
 the one check of its side, interval and point.
+
+The public constructor and the JSON reader check their input.  The graphs
+the package derives from a diagram (``tiles.marked_graph_of``) hold every
+invariant by construction, so they are built unchecked (``_marked_graph``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import json_field, json_int
 
@@ -149,3 +153,17 @@ class MarkedGraph:
         if self.half_edges:
             parts.append("half-edges " + " ".join(str(h) for h in self.half_edges))
         return "; ".join(parts)
+
+
+def _marked_graph(
+    points: int, edges: Iterable[tuple[int, int]], half_edges: Iterable[HalfEdge]
+) -> MarkedGraph:
+    """``MarkedGraph(points, edges, half_edges)`` for edges and half-edges
+    already known to be valid: it sorts them into tuples and fills the
+    fields, with no ``__init__`` or ``__post_init__`` frame."""
+    g = object.__new__(MarkedGraph)
+    fields = g.__dict__
+    fields["points"] = points
+    fields["edges"] = tuple(sorted(edges))
+    fields["half_edges"] = tuple(sorted(half_edges))
+    return g

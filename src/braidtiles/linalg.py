@@ -86,12 +86,17 @@ def parse_scalar(text: str) -> Scalar:
     """Parse "p" or "p/q" into an exact scalar: ASCII decimal numerals, a
     "-" allowed only in front of p, as ``format_scalar`` prints them.
     Anything else, a zero denominator included, raises ValueError naming
-    the text."""
-    try:
-        if re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
-            return _norm(Fraction(*(int(part) for part in text.split("/"))))
-    except (TypeError, ValueError, ZeroDivisionError):
-        pass
+    the text; a numeral of more digits than ``int`` converts is named by
+    its length alone."""
+    if isinstance(text, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
+        parts = []
+        for numeral in text.split("/"):
+            try:
+                parts.append(int(numeral))
+            except ValueError:  # more digits than int() converts
+                raise ValueError(f"invalid scalar: {long_numeral(numeral.lstrip('-'))}") from None
+        if len(parts) == 1 or parts[1]:  # q nonzero
+            return _norm(Fraction(*parts))
     raise ValueError(f"invalid scalar {text!r}: expected a string \"p\" or \"p/q\" with q nonzero")
 
 

@@ -26,6 +26,12 @@ edge ends facing an unglued boundary interval are kept as half-edges.
 The sweep depends only on the diagram, not on how its atoms are
 numbered, so the graph is built in that one post-order pass straight from
 an expression's diagram, with no normal form in between.
+
+The term classes check what user code hands them.  What the package
+derives from a diagram it has built (terms of known arity, the normal
+form, the marked graph and its presentation) holds every invariant by
+construction, so it is built unchecked, through the module-private
+builders next to each class.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from itertools import chain, islice
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .artin import Presentation, presentation_from_graph
-from .graphs import HalfEdge, MarkedGraph
+from .graphs import HalfEdge, MarkedGraph, _marked_graph
 from .linalg import SPACE, long_numeral
 
 _ARITY = {"D": (0, 1), "P": (2, 1), "F": (1, 1)}
@@ -158,6 +164,7 @@ _set_first = ComposeExpr.first.__set__
 _set_second = ComposeExpr.second.__set__
 _set_left = UnionExpr.left.__set__
 _set_right = UnionExpr.right.__set__
+_set_width = IdentityExpr.width.__set__
 
 
 def _compose(first: TileExpr, second: TileExpr) -> TileExpr:
@@ -167,6 +174,15 @@ def _compose(first: TileExpr, second: TileExpr) -> TileExpr:
     _set_second(e, second)
     _set_dom(e, first.dom)
     _set_cod(e, second.cod)
+    return e
+
+
+def _identity(width: int) -> TileExpr:
+    """``IdentityExpr(width)`` for ``width >= 0``."""
+    e = _new(IdentityExpr)
+    _set_width(e, width)
+    _set_dom(e, width)
+    _set_cod(e, width)
     return e
 
 
@@ -214,15 +230,17 @@ def parse_tile_expression(text: str) -> TileExpr:
     ``;``, and the union after that ``;``.  Frames live on a list, so
     nesting depth is unbounded.
 
-    One pass over the characters reads the tokens and grows the frames.  A
-    frame's pending gluing is checked as soon as its union ends, before any
-    later grammar error, as recursive descent would.  An unexpected
-    character anywhere comes first of all, as if the whole text were read
-    into tokens before parsing: before raising a grammar or gluing error,
-    the rest of the text is scanned for one."""
+    One pass over the characters reads the tokens and grows the frames; an
+    identity term is built once for each spelling and then shared, as the
+    atoms are.  A frame's pending gluing is checked as soon as its union
+    ends, before any later grammar error, as recursive descent would.  An
+    unexpected character anywhere comes first of all, as if the whole text
+    were read into tokens before parsing: before raising a grammar or
+    gluing error, the rest of the text is scanned for one."""
     end = len(text)
     chars = enumerate(text)
     atoms = _ATOMS
+    identities: dict[str, TileExpr] = {}  # each identity term read, by its digits
     outer: list[tuple[TileExpr | None, int, TileExpr | None]] = []  # frames of the enclosing groups
     glued: TileExpr | None = None  # the innermost frame: its gluing so far,
     semi = 0  # the position of its last ";",
@@ -242,12 +260,14 @@ def parse_tile_expression(text: str) -> TileExpr:
                 if m is None:
                     found = "" if at == end else f", found {ch!r}"
                     raise _first_error(text, at, f"expected a tile term{found}", at)
-                try:
-                    width = int(m.group(1))
-                except ValueError:  # more digits than int() converts
-                    raise TileParseError(long_numeral(m.group(1)), at) from None
-                term = IdentityExpr(width)
-                next(islice(chars, m.end() - at - 2, None))  # skip the rest of the term
+                digits = m.group(1)
+                term = identities.get(digits)
+                if term is None:
+                    try:
+                        term = identities[digits] = _identity(int(digits))
+                    except ValueError:  # more digits than int() converts
+                        raise TileParseError(long_numeral(digits), at) from None
+                next(islice(chars, len(digits), None))  # skip the rest of the term
             union = term if union is None else _union(union, term)
             want_term = False
         elif ch == "+":
@@ -408,6 +428,25 @@ class TileNormalForm:
         return format_tile_expression(to_expression(self))
 
 
+def _normal_form(
+    dom: int,
+    cod: int,
+    tags: tuple[str, ...],
+    inputs: tuple[tuple[int, ...], ...],
+    outputs: tuple[int, ...],
+) -> TileNormalForm:
+    """``TileNormalForm(dom, cod, tags, inputs, outputs)`` with no
+    ``__init__`` frame, for the fields the output sweep has just built."""
+    nf = _new(TileNormalForm)
+    fields = nf.__dict__
+    fields["dom"] = dom
+    fields["cod"] = cod
+    fields["tags"] = tags
+    fields["inputs"] = inputs
+    fields["outputs"] = outputs
+    return nf
+
+
 def normal_form(expr: TileExpr) -> TileNormalForm:
     tags, inputs, outputs = _diagram(expr)
     order = _sweep(inputs, outputs, 1)
@@ -417,7 +456,7 @@ def normal_form(expr: TileExpr) -> TileNormalForm:
     for r, j in enumerate(order):
         rank[j] = r
     wire = rank.__getitem__
-    return TileNormalForm(
+    return _normal_form(
         expr.dom,
         expr.cod,
         tuple([tags[j] for j in order]),
@@ -441,11 +480,11 @@ def to_expression(nf: TileNormalForm) -> TileExpr:
                 run += 1
                 continue
             if run:
-                terms.append(IdentityExpr(run))
+                terms.append(_identity(run))
                 run = 0
             terms.append(trees[w])
         if run:
-            terms.append(IdentityExpr(run))
+            terms.append(_identity(run))
         return reduce(_union, terms) if terms else IdentityExpr(0)
 
     for r in reversed(range(len(trees))):
@@ -490,7 +529,7 @@ def _graph_of(tags: Sequence[str], inputs: Sequence[Sequence[int]], outputs: Seq
     for o, w in enumerate(outputs, start=1):
         if w >= 0 and last[w]:
             halves.append(HalfEdge(last[w], "out", o))
-    return MarkedGraph(count, tuple(edges), tuple(halves))
+    return _marked_graph(count, edges, halves)
 
 
 def marked_graph_of(tile: TileExpr | TileNormalForm) -> MarkedGraph:

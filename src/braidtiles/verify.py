@@ -13,7 +13,7 @@ import time
 from typing import Callable, Iterable, Sequence
 
 from . import artin, braid, homs, tiles
-from .graphs import MarkedGraph
+from .graphs import MarkedGraph, _marked_graph
 from .linalg import SymplecticForm, is_symplectic
 from .reporting import CheckRecord, Report
 
@@ -115,7 +115,7 @@ def _distinct_graphs(max_atoms: int) -> list[MarkedGraph]:
     and the forest walk of ``enumerate_tiles`` (``tiles._forests``) folds
     each forest's point count and edges.  The trees' edges are sorted and
     shift into disjoint ascending ranges, so a folded key is already the
-    ``(points, edges)`` of the forest's graph."""
+    ``(points, edges)`` of the forest's graph, and it is built unchecked."""
     def join(forest: tuple, tree: tuple) -> tuple:
         points, edges = forest
         return points + tree[0], edges + tuple((a + points, b + points) for a, b in tree[1])
@@ -127,7 +127,7 @@ def _distinct_graphs(max_atoms: int) -> list[MarkedGraph]:
     for key in tiles._forests(trees, join):
         if key not in seen:
             seen.add(key)
-            out.append(MarkedGraph(*key))
+            out.append(_marked_graph(*key, ()))
     return out
 
 

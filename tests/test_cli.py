@@ -228,6 +228,28 @@ def test_malformed_half_edges_exit_2_with_their_message(capsys, edges, half_edge
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "9" * 5000
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter converts numerals of any length")
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (("artin", "abelianize", "--graph", f'{{"points": {LONG}}}'), ""),
+        (("artin", "abelianize", "--graph", f'{{"points": 3, "edges": [[1, -{LONG}]]}}'), ""),
+        (("artin", "abelianize", "--presentation", f'{{"generators": ["a"], "relators": [[{LONG}]]}}'), ""),
+        (("hom", "omega-gamma", "--genus", "1", "b1: e", f'[[["{LONG}","0"],["0","1"]]]'), "invalid scalar: "),
+        (("hom", "omega-gamma", "--genus", "1", "b1: e", f'[[["1","0"],["0","-1/{LONG}"]]]'), "invalid scalar: "),
+    ],
+    ids=["graph-points", "graph-negative-edge-end", "presentation-letter", "blocks-numerator", "blocks-denominator"],
+)
+def test_numerals_past_the_digit_limit_exit_2_with_their_length(capsys, argv, prefix):
+    code, out, err = run(capsys, *argv)
+    message = f"numeral too long: 5000 digits, the limit is {DIGIT_LIMIT}"
+    assert (code, out, err) == (2, "", f"error: {prefix}{message}\n")
+
+
 @pytest.mark.parametrize("flag", ["--graph", "--presentation"])
 def test_deeply_nested_json_exits_2(capsys, flag):
     code, out, err = run(capsys, "artin", "abelianize", flag, "[" * 30_000 + "]" * 30_000)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,21 @@ def test_scalar_text_round_trip():
     for bad in ("1.5", "1/0", "1/2/3", "", 1, None, "1_0", " 1", "+3", "1/-2", "٣/4"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter converts numerals of any length")
+@pytest.mark.parametrize(
+    "text",
+    ["9" * 5000, "-" + "9" * 5000, "9" * 5000 + "/7", "-1/" + "0" * 5000],
+    ids=["numerator", "negative-numerator", "numerator-over-7", "zero-denominator"],
+)
+def test_scalar_numeral_past_the_digit_limit_is_named_by_its_length(text):
+    with pytest.raises(ValueError) as err:
+        parse_scalar(text)
+    assert str(err.value) == f"invalid scalar: numeral too long: 5000 digits, the limit is {DIGIT_LIMIT}"
 
 
 def test_decimal_takes_ascii_digits_only():

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from braidtiles import artin, tiles
+from braidtiles import artin, tiles, verify
 from braidtiles.graphs import HalfEdge, MarkedGraph
 from braidtiles.tiles import (
     AtomExpr,
@@ -16,10 +16,12 @@ from braidtiles.tiles import (
     F,
     IdentityExpr,
     P,
+    TileNormalForm,
     TileParseError,
     UnionExpr,
     compose,
     disjoint_union,
+    endomorphism_presentation,
     enumerate_tiles,
     enumerate_trees,
     format_tile_expression,
@@ -161,6 +163,15 @@ def test_glue_mismatch_is_a_parse_error_with_position():
     assert err.value.position == 2
 
 
+def test_identity_terms_are_built_once_per_spelling():
+    expr = t("1_1 + 1_12 + 1_01 + 1_1")
+    assert format_tile_expression(expr) == "1_1 + 1_12 + 1_1 + 1_1"
+    assert (expr.dom, expr.cod) == (15, 15)
+    ones = (expr.left.left.left, expr.left.right, expr.right)
+    assert [e.width for e in ones] == [1, 1, 1]
+    assert ones[0] is ones[2] and ones[1] is not ones[0]
+
+
 def test_identity_terms_parse_in_linear_time():
     # matching each 1_<n> term against a copy of the rest of the text would make this quadratic
     def parse_seconds(term):
@@ -196,6 +207,57 @@ def test_unchecked_terms_match_the_public_constructors():
         assert _rebuilt(expr) == expr
         assert _rebuilt(t(format_tile_expression(expr))) == expr
         assert _rebuilt(to_expression(normal_form(expr))) == to_expression(normal_form(expr))
+
+
+def _checked_graph(graph):
+    """``graph`` rebuilt with the public constructor, which checks it; both
+    must be equal, hash the same and hold tuples, of HalfEdges for the
+    half-edges."""
+    checked = MarkedGraph(graph.points, graph.edges, graph.half_edges)
+    assert graph == checked and hash(graph) == hash(checked)
+    assert type(graph.edges) is tuple and type(graph.half_edges) is tuple
+    assert all(type(h) is HalfEdge for h in graph.half_edges)
+    return checked
+
+
+def test_unchecked_graphs_normal_forms_and_presentations_match_the_public_constructors():
+    # what the package derives from a diagram is built unchecked
+    forests = list(enumerate_tiles(4))
+    trees = [e for level in enumerate_trees(5) for e in level]
+    chains = [t(" ; ".join(["F"] * depth)) for depth in range(1, 101)]
+    for expr in forests + trees + chains:
+        nf = normal_form(expr)
+        fields = (nf.dom, nf.cod, nf.tags, nf.inputs, nf.outputs)
+        assert nf == TileNormalForm(*fields) and hash(nf) == hash(TileNormalForm(*fields))
+        assert all(type(f) is tuple for f in fields[2:]) and all(type(w) is tuple for w in nf.inputs)
+        graph = _checked_graph(marked_graph_of(expr))
+        assert _checked_graph(marked_graph_of(nf)) == graph
+        pres = endomorphism_presentation(expr)
+        assert pres == artin.Presentation(pres.generators, pres.relators)
+    for graph in verify._distinct_graphs(5):
+        pres = artin.presentation_from_graph(_checked_graph(graph))
+        assert pres == artin.Presentation(pres.generators, pres.relators)
+
+
+def test_a_tile_builds_its_graph_normal_form_and_presentation_unchecked(monkeypatch):
+    checked = []
+    for cls, name in ((MarkedGraph, "__post_init__"), (artin.Presentation, "__post_init__"),
+                      (TileNormalForm, "__init__")):
+        def counted(self, *args, check=getattr(cls, name)):
+            checked.append(type(self))
+            check(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    expr = t(WITNESS_TILE)
+    nf = normal_form(expr)
+    for tile in (expr, nf):
+        marked_graph_of(tile)
+        endomorphism_presentation(tile)
+    verify._distinct_graphs(3)
+    assert checked == []
+    MarkedGraph(2, ((1, 2),))  # user input is still checked
+    artin.Presentation(("a",), ((1,),))
+    assert checked == [MarkedGraph, artin.Presentation]
 
 
 # -- normal forms ----------------------------------------------------------------
