@@ -40,6 +40,7 @@ from .linalg import (
     ExactMatrix,
     Terms,
     _smith_diagonal,
+    _trusted,
     json_field,
     json_int,
     json_list,
@@ -127,13 +128,8 @@ class Presentation:
 
 def _presentation(generators: tuple[str, ...], relators: tuple[Word, ...]) -> Presentation:
     """``Presentation(generators, relators)`` for distinct names and relators
-    whose letters are known to be in range: it fills the fields, with no
-    ``__init__`` or ``__post_init__`` frame."""
-    pres = object.__new__(Presentation)
-    fields = pres.__dict__
-    fields["generators"] = generators
-    fields["relators"] = relators
-    return pres
+    whose letters are known to be in range, unchecked."""
+    return _trusted(Presentation, generators=generators, relators=relators)
 
 
 def braid_presentation(k: int) -> Presentation:

@@ -28,6 +28,10 @@ if they ever disagree.
 ``_suffix_walk`` feeds every short word to the exhaustive agreement gate
 in ``verify`` as states, a free reduction with its action images, each
 with the number of words that reach it.
+
+Checked at the boundary, trusted inside: ``BraidWord``, ``Permutation``
+and ``parse_braid_word`` check their input; words and permutations derived
+from valid ones are built unchecked (``_braid_word``, ``_permutation``).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import SPACE, WORD, long_numeral
+from .linalg import SPACE, WORD, _trusted, long_numeral
 
 # Rewrites per word before handle reduction gives up (exit 3 in the CLI).
 # The largest counts measured sit at least 20 times below it: 1,621 over
@@ -72,6 +76,11 @@ class Permutation:
         return self.images[i - 1]
 
 
+def _permutation(images: tuple[int, ...]) -> Permutation:
+    """``Permutation(images)`` for images known to permute 1..n, unchecked."""
+    return _trusted(Permutation, images=images)
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """Word in the braid group on ``n`` strands.
@@ -98,16 +107,21 @@ class BraidWord:
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.n != other.n:
             raise ValueError(f"strand count mismatch: {self.n} vs {other.n}")
-        return BraidWord(self.n, self.letters + other.letters)
+        return _braid_word(self.n, self.letters + other.letters)
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(self.n, tuple(-l for l in reversed(self.letters)))
+        return _braid_word(self.n, tuple(-l for l in reversed(self.letters)))
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def __str__(self) -> str:
         return format_braid_word(self)
+
+
+def _braid_word(n: int, letters: tuple[int, ...]) -> BraidWord:
+    """``BraidWord(n, letters)`` for n >= 1 and letters known to be in range, unchecked."""
+    return _trusted(BraidWord, n=n, letters=letters)
 
 
 @dataclass(frozen=True)
@@ -146,7 +160,7 @@ def underlying_permutation(word: BraidWord) -> Permutation:
         s, t = at[i - 1], at[i]
         images[s - 1], images[t - 1] = i + 1, i
         at[i - 1], at[i] = t, s
-    return Permutation(tuple(images))
+    return _permutation(tuple(images))
 
 
 def _fold_letters(images: list[Sequence[int]], letters: Sequence[int]) -> list[Sequence[int]]:
@@ -310,7 +324,7 @@ def _handle_reduce_letters(letters: Sequence[int]) -> list[int]:
 
 def handle_reduce(word: BraidWord) -> BraidWord:
     """Fully handle-reduced word representing the same braid."""
-    return BraidWord(word.n, tuple(_handle_reduce_letters(word.letters)))
+    return _braid_word(word.n, tuple(_handle_reduce_letters(word.letters)))
 
 
 def _dynnikov_trivial(letters: Sequence[int]) -> bool:
@@ -374,13 +388,13 @@ def equal(w1: BraidWord, w2: BraidWord) -> bool:
     """True iff the two words represent the same braid: w1 w2^-1 is trivial."""
     if w1.n != w2.n:
         raise ValueError(f"strand count mismatch: {w1.n} vs {w2.n}")
-    return is_trivial(w1 * w2.inverse())
+    return is_trivial(_braid_word(w1.n, w1.letters + tuple(_inverse(w2.letters))))
 
 
 def mirror(word: BraidWord) -> BraidWord:
     """Mirror involution sigma_i -> sigma_i^-1 (an automorphism of the
     braid group that preserves the underlying permutation)."""
-    return BraidWord(word.n, tuple(-l for l in word.letters))
+    return _braid_word(word.n, tuple(-l for l in word.letters))
 
 
 def _block_crossing(a: int, k: int) -> list[int]:
@@ -417,7 +431,7 @@ def cable(q: int, k: int, sigma: BraidWord, mus: Sequence[BraidWord]) -> BraidWo
             letters.extend(block)
         else:
             letters.extend(-x for x in reversed(block))
-    return BraidWord(q * k, tuple(letters))
+    return _braid_word(q * k, tuple(letters))
 
 
 def wreath_multiply(
@@ -457,7 +471,7 @@ def parse_braid_word(text: str) -> BraidWord:
     if tokens[0][1] == "e":
         if len(tokens) > 1:
             raise BraidParseError(f"unexpected token {tokens[1][1]!r} after 'e'", tokens[1][0])
-        return BraidWord(n, ())
+        return _braid_word(n, ())
     letters = []
     for pos, tok in tokens:
         lm = _LETTER_RE.match(tok)
@@ -470,7 +484,7 @@ def parse_braid_word(text: str) -> BraidWord:
         if not 1 <= i <= n - 1:
             raise BraidParseError(f"generator s{i} out of range for {n} strands", pos)
         letters.append(-i if lm.group(2) else i)
-    return BraidWord(n, tuple(letters))
+    return _braid_word(n, tuple(letters))
 
 
 def format_braid_word(word: BraidWord) -> str:

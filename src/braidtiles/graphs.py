@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import json_field, json_int
+from .linalg import _trusted, json_field, json_int
 
 _SIDES = ("in", "out")
 
@@ -155,15 +155,9 @@ class MarkedGraph:
         return "; ".join(parts)
 
 
-def _marked_graph(
-    points: int, edges: Iterable[tuple[int, int]], half_edges: Iterable[HalfEdge]
-) -> MarkedGraph:
+def _marked_graph(points: int, edges: Iterable[tuple[int, int]],
+                  half_edges: Iterable[HalfEdge]) -> MarkedGraph:
     """``MarkedGraph(points, edges, half_edges)`` for edges and half-edges
-    already known to be valid: it sorts them into tuples and fills the
-    fields, with no ``__init__`` or ``__post_init__`` frame."""
-    g = object.__new__(MarkedGraph)
-    fields = g.__dict__
-    fields["points"] = points
-    fields["edges"] = tuple(sorted(edges))
-    fields["half_edges"] = tuple(sorted(half_edges))
-    return g
+    already known to be valid: it sorts them into tuples, unchecked."""
+    return _trusted(MarkedGraph, points=points, edges=tuple(sorted(edges)),
+                    half_edges=tuple(sorted(half_edges)))

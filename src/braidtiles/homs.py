@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .braid import BraidWord, cable, mirror, underlying_permutation
+from .braid import BraidWord, _braid_word, cable, mirror, underlying_permutation
 from .graphs import MarkedGraph, edge_neighbors
 from .linalg import ExactMatrix, SymplecticForm, is_symplectic, rank_one_product
 
@@ -87,7 +87,7 @@ def band_generator(k: int, i: int, j: int) -> BraidWord:
     the strands between them: (s_{j-1} ... s_{i+1}) s_i (s_{i+1}^-1 ... s_{j-1}^-1)."""
     if not (1 <= i < j <= k):
         raise ValueError(f"need 1 <= i < j <= {k}, got ({i}, {j})")
-    return BraidWord(k, tuple(_band_letters(i, j)))
+    return _braid_word(k, tuple(_band_letters(i, j)))
 
 
 def half_twist_image(graph: MarkedGraph, word: Iterable[int]) -> BraidWord:
@@ -104,7 +104,9 @@ def half_twist_image(graph: MarkedGraph, word: Iterable[int]) -> BraidWord:
         if l < 0:  # the band is a conjugate of s_i, so its inverse flips only s_i
             band[j - i - 1] = -i
         letters += band
-    return BraidWord(graph.points, tuple(letters))
+    if graph.points < 1:
+        raise ValueError("strand count must be at least 1")
+    return _braid_word(graph.points, tuple(letters))
 
 
 def edge_transvection_image(graph: MarkedGraph, word: Iterable[int]) -> ExactMatrix:

@@ -34,6 +34,10 @@ compare at once, and an update by a coefficient 1 or -1 (nearly every one
 that transvections and reflections make) is a ``map`` of ``operator.add``
 or ``operator.sub``.  A Smith pivot 1 or -1, which divides every entry, is
 recorded without looking for what it does not divide.
+
+Checked at the boundary, trusted inside: the constructor, ``from_rows``,
+products and the JSON reader check every entry; an identity or a fold of
+int factors is built unchecked (``_exact_matrix``).
 """
 
 from __future__ import annotations
@@ -47,9 +51,18 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 Scalar = int | Fraction
+T = TypeVar("T")
+
+
+def _trusted(cls: type[T], **fields: object) -> T:
+    """``cls(**fields)`` with no ``__init__`` or ``__post_init__``, for a frozen
+    dataclass and fields known to be valid; every dict-storage builder's core."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _norm(x: Scalar) -> Scalar:
@@ -173,7 +186,9 @@ class ExactMatrix:
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix(n, n, _identity_rows(n))
+        if n < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        return _exact_matrix(n, n, _identity_rows(n))
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
@@ -231,6 +246,11 @@ class ExactMatrix:
         cells = [[format_scalar(x) for x in row] for row in self.entries]
         width = max(len(c) for row in cells for c in row)
         return "\n".join("[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells)
+
+
+def _exact_matrix(rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> ExactMatrix:
+    """``ExactMatrix(rows, cols, entries)`` for tuple rows of exact ints, unchecked."""
+    return _trusted(ExactMatrix, rows=rows, cols=cols, entries=entries)
 
 
 def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
@@ -343,7 +363,7 @@ def rank_one_product(
     speed."""
     cols = list(_identity_rows(n))  # the identity's columns are its rows
     _fold(cols, factor, word)
-    return ExactMatrix(n, n, tuple(zip(*cols)))
+    return _exact_matrix(n, n, tuple(zip(*cols)))
 
 
 class _UnitColumns(dict):

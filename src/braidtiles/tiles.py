@@ -44,7 +44,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 from .artin import Presentation, presentation_from_graph
 from .graphs import HalfEdge, MarkedGraph, _marked_graph
-from .linalg import SPACE, long_numeral
+from .linalg import SPACE, _trusted, long_numeral
 
 _ARITY = {"D": (0, 1), "P": (2, 1), "F": (1, 1)}
 _POINTS = {"D": 0, "P": 1, "F": 2}
@@ -428,23 +428,11 @@ class TileNormalForm:
         return format_tile_expression(to_expression(self))
 
 
-def _normal_form(
-    dom: int,
-    cod: int,
-    tags: tuple[str, ...],
-    inputs: tuple[tuple[int, ...], ...],
-    outputs: tuple[int, ...],
-) -> TileNormalForm:
-    """``TileNormalForm(dom, cod, tags, inputs, outputs)`` with no
-    ``__init__`` frame, for the fields the output sweep has just built."""
-    nf = _new(TileNormalForm)
-    fields = nf.__dict__
-    fields["dom"] = dom
-    fields["cod"] = cod
-    fields["tags"] = tags
-    fields["inputs"] = inputs
-    fields["outputs"] = outputs
-    return nf
+def _normal_form(dom: int, cod: int, tags: tuple[str, ...], inputs: tuple[tuple[int, ...], ...],
+                 outputs: tuple[int, ...]) -> TileNormalForm:
+    """``TileNormalForm(dom, cod, tags, inputs, outputs)``, unchecked, for the
+    fields the output sweep has just built."""
+    return _trusted(TileNormalForm, dom=dom, cod=cod, tags=tags, inputs=inputs, outputs=outputs)
 
 
 def normal_form(expr: TileExpr) -> TileNormalForm:
@@ -485,7 +473,7 @@ def to_expression(nf: TileNormalForm) -> TileExpr:
             terms.append(trees[w])
         if run:
             terms.append(_identity(run))
-        return reduce(_union, terms) if terms else IdentityExpr(0)
+        return reduce(_union, terms) if terms else _identity(0)
 
     for r in reversed(range(len(trees))):
         wires = nf.inputs[r]
@@ -581,7 +569,7 @@ def enumerate_trees(max_atoms: int) -> tuple[tuple[TileExpr, ...], ...]:
     if max_atoms < 0:
         raise ValueError("atom budget must be nonnegative")
     by_size: list[list[TileExpr]] = [[] for _ in range(max_atoms)]
-    wire = IdentityExpr(1)
+    wire = _identity(1)
     for n in range(1, max_atoms + 1):
         out = by_size[n - 1]
         if n == 1:

@@ -37,10 +37,10 @@ def _run(name: str, fn: Callable[[], Outcome]) -> CheckRecord:
 
 def _random_word(rng: random.Random, n: int, max_len: int, min_len: int = 1) -> braid.BraidWord:
     if n == 1:
-        return braid.BraidWord(1, ())
+        return braid._braid_word(1, ())
     length = rng.randint(min_len, max(min_len, max_len))
     letters = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length))
-    return braid.BraidWord(n, letters)
+    return braid._braid_word(n, letters)
 
 
 # -- pinned checks ---------------------------------------------------------
