@@ -69,7 +69,8 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
+        images = self.images
+        if any(type(i) is not int for i in images) or sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
 
     def __call__(self, i: int) -> int:
@@ -101,7 +102,7 @@ class BraidWord:
             object.__setattr__(self, "letters", letters)
         top = self.n - 1
         for l in letters:
-            if not (isinstance(l, int) and (0 < l <= top or -top <= l < 0)):
+            if not (type(l) is int and (0 < l <= top or -top <= l < 0)):
                 raise ValueError(f"letter {l!r} is not a generator index of a {self.n}-strand braid")
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":

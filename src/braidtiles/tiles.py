@@ -32,6 +32,11 @@ derives from a diagram it has built (terms of known arity, the normal
 form, the marked graph and its presentation) holds every invariant by
 construction, so it is built unchecked, through the module-private
 builders next to each class.
+
+Every walk over a term pops a part that waits, goes down its left spine
+(first parts of gluings, left parts of unions) pushing only right parts,
+and handles the leaf at its foot, so no depth needs recursion; the output
+sweep of a diagram pops each wire once and skips the global inputs.
 """
 
 from __future__ import annotations
@@ -74,22 +79,22 @@ class TileExpr:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TileExpr):
             return NotImplemented
-        stack = [(self, other)]
+        stack = [(self, other)]  # the right parts still to compare
         while stack:
             a, b = stack.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b):
-                return False
-            if isinstance(a, UnionExpr):
-                stack += ((a.right, b.right), (a.left, b.left))
-            elif isinstance(a, ComposeExpr):
-                stack += ((a.second, b.second), (a.first, b.first))
-            elif isinstance(a, AtomExpr):
-                if a.tag != b.tag:
+            while a is not b:
+                if type(a) is not type(b):
                     return False
-            elif isinstance(a, IdentityExpr) and a.width != b.width:
-                return False
+                if isinstance(a, UnionExpr):
+                    stack.append((a.right, b.right))
+                    a, b = a.left, b.left
+                elif isinstance(a, ComposeExpr):
+                    stack.append((a.second, b.second))
+                    a, b = a.first, b.first
+                elif isinstance(a, AtomExpr) and a.tag != b.tag or isinstance(a, IdentityExpr) and a.width != b.width:
+                    return False
+                else:
+                    break
         return True
 
     def __hash__(self) -> int:  # equal expressions print the same text
@@ -316,27 +321,31 @@ def format_tile_expression(expr: TileExpr) -> str:
     around a gluing inside a union, and around a right part that binds no
     tighter than its parent."""
     parts: list[str] = []
-    stack: list[TileExpr | str] = [expr]  # terms still to print, and literal text
+    stack = [("", expr, 0)]  # the right parts still to print: (text before, term, ")" count after)
     while stack:
-        e = stack.pop()
-        kind = type(e)
-        if kind is str:
-            parts.append(e)
-        elif kind is AtomExpr:
+        lead, e, close = stack.pop()
+        parts.append(lead)
+        while (kind := type(e)) is ComposeExpr or kind is UnionExpr:
+            if kind is ComposeExpr:
+                paren = type(e.second) is ComposeExpr
+                stack.append((" ; (" if paren else " ; ", e.second, close + paren))
+                e, close = e.first, 0
+            else:
+                lead = " + "
+                if type(e.left) is ComposeExpr:
+                    parts.append("(")
+                    lead = ") + "
+                paren = type(e.right) in (UnionExpr, ComposeExpr)
+                stack.append((lead + "(" if paren else lead, e.right, close + paren))
+                e, close = e.left, 0
+        if kind is AtomExpr:
             parts.append(e.tag)
-        elif kind is ComposeExpr:
-            second = e.second
-            stack += [")", second, "("] if type(second) is ComposeExpr else [second]
-            stack += [" ; ", e.first]
-        elif kind is UnionExpr:
-            right, left = e.right, e.left
-            stack += [")", right, "("] if type(right) in (UnionExpr, ComposeExpr) else [right]
-            stack.append(" + ")
-            stack += [")", left, "("] if type(left) is ComposeExpr else [left]
         elif kind is IdentityExpr:
             parts.append(f"1_{e.width}")
         else:
             raise TypeError(f"not a tile expression: {kind.__name__}")
+        if close:
+            parts.append(")" * close)
     return "".join(parts)
 
 
@@ -346,7 +355,7 @@ def _diagram(expr: TileExpr) -> tuple[list[str], list[list[int]], list[int]]:
     """Concrete port graph of an expression as ``(tags, inputs, outputs)``,
     atoms numbered left to right (node ids index ``tags``).  A wire is an
     int: ``r >= 0`` is the output of atom ``r``, ``~i`` is global input
-    ``i``.  Each job reads its input wires from ``src[at:at + dom]`` and
+    ``i``.  Each part reads its input wires from ``src[at:at + dom]`` and
     appends its output wires to ``out``; a gluing's first part writes a
     fresh list that its second part reads."""
     if not isinstance(expr, TileExpr):
@@ -354,23 +363,21 @@ def _diagram(expr: TileExpr) -> tuple[list[str], list[list[int]], list[int]]:
     tags: list[str] = []
     inputs: list[list[int]] = []
     outputs: list[int] = []
-    stack: list[tuple[TileExpr, list[int], int, list[int]]] = [
-        (expr, list(range(-1, ~expr.dom, -1)), 0, outputs)  # ~0, ~1, ...
-    ]
+    stack = [(expr, list(range(-1, ~expr.dom, -1)), 0, outputs)]  # the right parts still to draw
     while stack:
         e, src, at, out = stack.pop()
-        kind = type(e)
+        while (kind := type(e)) is ComposeExpr or kind is UnionExpr:
+            if kind is ComposeExpr:
+                mid: list[int] = []
+                stack.append((e.second, mid, 0, out))
+                e, out = e.first, mid
+            else:
+                stack.append((e.right, src, at + e.left.dom, out))
+                e = e.left
         if kind is AtomExpr:
             inputs.append(src[at:at + e.dom])
             out.append(len(tags))
             tags.append(e.tag)
-        elif kind is ComposeExpr:
-            mid: list[int] = []
-            stack.append((e.second, mid, 0, out))
-            stack.append((e.first, src, at, mid))
-        elif kind is UnionExpr:
-            stack.append((e.right, src, at + e.left.dom, out))
-            stack.append((e.left, src, at, out))
         elif kind is IdentityExpr:
             out += src[at:at + e.width]
         else:
@@ -384,11 +391,12 @@ def _sweep(inputs: Sequence[Sequence[int]], outputs: Sequence[int], step: int) -
     right-to-left pre-order is the left-to-right post-order.  Every node's
     output is consumed exactly once, so this visits each node exactly once."""
     order: list[int] = []
-    stack = [w for w in outputs[::-step] if w >= 0]  # the next port is popped first
+    stack = list(outputs[::-step])  # the next port is popped first
     while stack:
         r = stack.pop()
-        order.append(r)
-        stack += [w for w in inputs[r][::-step] if w >= 0]
+        if r >= 0:  # a global input ends the branch
+            order.append(r)
+            stack += inputs[r][::-step]
     return order
 
 
@@ -408,6 +416,14 @@ class TileNormalForm:
     tags: tuple[str, ...]
     inputs: tuple[tuple[int, ...], ...]
     outputs: tuple[int, ...]
+
+    def __post_init__(self) -> None:  # exactly what normal_form builds for the diagram these fields draw
+        try:
+            drawn = normal_form(to_expression(self))
+        except (IndexError, TypeError):  # a wire names no atom, or a field holds no tuple of ints
+            drawn = None
+        if drawn != self or any(type(w) is not int for w in chain((self.dom, self.cod), self.outputs, *self.inputs)):
+            raise ValueError("not a normal form: the output sweep of the diagram it draws gives other fields")
 
     @property
     def atom_count(self) -> int:
@@ -540,15 +556,18 @@ def marked_point_count(tile: TileExpr) -> int:
     follows its terms, never an identity's width, and its depth needs no
     recursion."""
     count = 0
-    stack = [tile]
+    stack = [tile]  # the right parts still to count
     while stack:
         e = stack.pop()
+        while isinstance(e, (UnionExpr, ComposeExpr)):
+            if isinstance(e, UnionExpr):
+                stack.append(e.right)
+                e = e.left
+            else:
+                stack.append(e.second)
+                e = e.first
         if isinstance(e, AtomExpr):
             count += _POINTS[e.tag]
-        elif isinstance(e, UnionExpr):
-            stack += (e.left, e.right)
-        elif isinstance(e, ComposeExpr):
-            stack += (e.first, e.second)
         elif not isinstance(e, IdentityExpr):
             raise TypeError(f"not a tile expression: {type(e).__name__}")
     return count

@@ -52,7 +52,7 @@ def test_word_validation():
 
 
 @pytest.mark.parametrize("n, letters", [
-    (3, (True, -1, 2)),     # bool is an int, and True is generator 1
+    (3, (1, -1, 2)),        # ints: True, which isinstance takes for generator 1, is rejected below
     (3, [1, -2]),           # any iterable of ints, stored as a tuple
     (2, (1, -1, 1)),
     (5, ()),
@@ -68,6 +68,7 @@ def test_word_validation_accepts(n, letters):
     (3, (3,), "3"),
     (2, (False,), "False"),
     (4, (1, "2"), "'2'"),
+    (3, (True, -1, 2), "True"),      # a bool is no letter, though isinstance calls it an int
 ])
 def test_word_validation_names_the_first_bad_letter(n, letters, bad):
     with pytest.raises(ValueError, match=re.escape(f"letter {bad} is not a generator index of a {n}-strand braid")):

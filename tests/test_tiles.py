@@ -249,10 +249,14 @@ def test_normal_form_round_trips_through_expression():
 
 
 def test_to_expression_rejects_an_atom_with_the_wrong_number_of_inputs():
-    # P reads one wire where it takes two
-    nf = tiles.TileNormalForm(1, 1, ("P", "F"), ((1,), (~0,)), (0,))
-    with pytest.raises(ValueError, match="^cannot glue: left tile produces 1 intervals, right tile expects 2$"):
-        to_expression(nf)
+    # P reads one wire where it takes two: the checked constructor says so,
+    # and so does to_expression of the same fields built unchecked
+    fields = (1, 1, ("P", "F"), ((1,), (~0,)), (0,))
+    message = "^cannot glue: left tile produces 1 intervals, right tile expects 2$"
+    with pytest.raises(ValueError, match=message):
+        tiles.TileNormalForm(*fields)
+    with pytest.raises(ValueError, match=message):
+        to_expression(tiles._normal_form(*fields))
 
 
 def test_interchange_frozen():
@@ -446,6 +450,78 @@ def test_distinct_graph_count_is_stable():
     assert len(shapes) == 459
 
 
+# -- the walks against recursive references --------------------------------------
+
+def _format_by_recursion(e) -> str:
+    if isinstance(e, tiles.AtomExpr):
+        return e.tag
+    if isinstance(e, IdentityExpr):
+        return f"1_{e.width}"
+    if isinstance(e, tiles.ComposeExpr):
+        second = _format_by_recursion(e.second)
+        if isinstance(e.second, tiles.ComposeExpr):
+            second = f"({second})"
+        return f"{_format_by_recursion(e.first)} ; {second}"
+    left, right = _format_by_recursion(e.left), _format_by_recursion(e.right)
+    if isinstance(e.left, tiles.ComposeExpr):
+        left = f"({left})"
+    if isinstance(e.right, (UnionExpr, tiles.ComposeExpr)):
+        right = f"({right})"
+    return f"{left} + {right}"
+
+
+def _diagram_by_recursion(expr):
+    tags, inputs = [], []
+
+    def draw(e, src):  # e's output wires, for the input wires src
+        if isinstance(e, tiles.AtomExpr):
+            inputs.append(src)
+            tags.append(e.tag)
+            return [len(tags) - 1]
+        if isinstance(e, IdentityExpr):
+            return src
+        if isinstance(e, tiles.ComposeExpr):
+            return draw(e.second, draw(e.first, src))
+        return draw(e.left, src[:e.left.dom]) + draw(e.right, src[e.left.dom:])
+
+    outputs = draw(expr, [~i for i in range(expr.dom)])
+    return tags, inputs, outputs
+
+
+def _sweep_by_recursion(inputs, outputs, step):
+    order = []
+
+    def visit(wires):
+        for w in wires[::step]:
+            if w >= 0:
+                order.append(w)
+                visit(inputs[w])
+
+    visit(outputs)
+    return order
+
+
+RIGHT_NESTED = ["F ; (F ; F)", "F + (F + (F ; F))", "F + (P ; (F ; (D + F ; P)))", "(F ; F) + (D ; F) + P",
+                "F + (1_1 + P ; P)", "1_2 ; (P ; (F ; (1_1 ; F)))", "D + (D + (D + D)) ; (P + P ; P)"]
+
+
+def test_the_walks_match_recursive_references():
+    """The stack walks give what the recursive definitions give, on every
+    tile of five atoms or fewer, bare and padded with identities, and on
+    terms whose right parts nest, so that every step pushes one."""
+    terms = [t(text) for text in RIGHT_NESTED]
+    for expr in enumerate_tiles(5):
+        terms += [expr, disjoint_union(IdentityExpr(1), expr, IdentityExpr(2)), compose(expr, IdentityExpr(expr.cod))]
+    assert len(terms) == 3 * 6240 + len(RIGHT_NESTED)
+    for expr in terms:
+        assert format_tile_expression(expr) == _format_by_recursion(expr)
+        tags, inputs, outputs = tiles._diagram(expr)
+        assert (tags, inputs, outputs) == _diagram_by_recursion(expr)
+        for step in (1, -1):
+            assert tiles._sweep(inputs, outputs, step) == _sweep_by_recursion(inputs, outputs, step)
+    assert [format_tile_expression(expr) for expr in terms[:len(RIGHT_NESTED)]] == RIGHT_NESTED
+
+
 # -- deep inputs at the default recursion limit ---------------------------------
 
 DEEP = 20_000
@@ -457,11 +533,16 @@ def _deep_cases():
     chain = " ; ".join(["F"] * n)
     union = " + ".join(["F"] * n)
     caps = " + ".join(["D"] * n) + " ; " + union
+    right_chain = "F ; (" * (n - 2) + "F ; F" + ")" * (n - 2)
+    right_union = "F + (" * (n - 2) + "F + F" + ")" * (n - 2)
     return [
         pytest.param(chain, chain, chain, 2 * n, 2 * n - 1, 2, id="F-chain"),
         pytest.param(union, union, union, 2 * n, n, 2 * n, id="F-union"),
         pytest.param("(" * n + "F" + ")" * n, "F", "F", 2, 1, 2, id="nested-parentheses"),
         pytest.param(caps, caps, " + ".join(["(D ; F)"] * n), 2 * n, n, n, id="D-union-glued-to-F-union"),
+        # every step of a walk pushes the right part that waits
+        pytest.param(right_chain, right_chain, chain, 2 * n, 2 * n - 1, 2, id="right-nested-F-chain"),
+        pytest.param(right_union, right_union, union, 2 * n, n, 2 * n, id="right-nested-F-union"),
     ]
 
 
