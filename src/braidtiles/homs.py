@@ -12,6 +12,16 @@ maps place symplectic blocks side by side and let a braid permute the
 blocks.  These are homology shadows, not faithful images: identities of
 images are necessary conditions only, but any two distinct images
 certify a genuine difference, which is what the discrepancy witness uses.
+
+Checked at the boundary, trusted inside: each map checks its arguments,
+then builds its image unchecked.  ``wreath_symplectic`` checks the strand
+count, the block count and that every block is symplectic; the wreath
+images of ``block_permutation_image`` (identity blocks) and
+``cabling_discrepancy`` (symplectic images) need no block check.  All
+three place the block rows by ``_wreath``, with no entry checked again.
+``mirrored_pair`` builds its pair unchecked, since mirroring keeps the
+underlying permutation; the ``MirroredPair`` constructor and ``multiply``
+check the pullback condition.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from typing import Iterable, Sequence
 
 from .braid import BraidWord, _braid_word, cable, mirror, underlying_permutation
 from .graphs import MarkedGraph, edge_neighbors
-from .linalg import ExactMatrix, SymplecticForm, is_symplectic, rank_one_product
+from .linalg import ExactMatrix, SymplecticForm, _exact_matrix, _trusted, is_symplectic, rank_one_product
 
 
 def chain_classes(g: int) -> tuple[tuple[int, ...], ...]:
@@ -130,6 +140,26 @@ def edge_transvection_image(graph: MarkedGraph, word: Iterable[int]) -> ExactMat
     return rank_one_product(e, factor, word)
 
 
+def _check_sigma(q: int, sigma: BraidWord) -> None:
+    if sigma.n != q:
+        raise ValueError(f"sigma is on {sigma.n} strands, expected {q}")
+
+
+def _wreath(q: int, g: int, sigma: BraidWord, blocks: Sequence[ExactMatrix]) -> ExactMatrix:
+    """``wreath_symplectic(q, g, sigma, blocks)`` for sigma on q strands and
+    q symplectic 2g x 2g blocks, unchecked: the underlying permutation is
+    read once, and each block row goes into one zero-padded row tuple.  The
+    blocks' entries are already normalized, so the rows are kept as they are."""
+    width = 2 * g
+    zeros = (0,) * (q * width)
+    rows: list[tuple] = []
+    for f, target in zip(blocks, underlying_permutation(sigma).images):
+        col = (target - 1) * width
+        left, right = zeros[:col], zeros[col + width:]
+        rows += [left + row + right for row in f.entries]
+    return _exact_matrix(q * width, q * width, tuple(rows))
+
+
 def wreath_symplectic(q: int, g: int, sigma: BraidWord, fs: Sequence[ExactMatrix]) -> ExactMatrix:
     """Place q symplectic genus-g blocks on the diagonal, then let the braid
     permute the blocks: blocks act first, then per letter of sigma the
@@ -138,21 +168,14 @@ def wreath_symplectic(q: int, g: int, sigma: BraidWord, fs: Sequence[ExactMatrix
     acts trivially on homology), hence the image depends only on the
     underlying permutation p of sigma once the blocks are fixed: block i
     sits in block row i and block column p(i)."""
-    if sigma.n != q:
-        raise ValueError(f"sigma is on {sigma.n} strands, expected {q}")
+    _check_sigma(q, sigma)
     if len(fs) != q:
         raise ValueError(f"expected {q} block matrices, got {len(fs)}")
     form = SymplecticForm(g)
     for i, f in enumerate(fs):
         if not is_symplectic(f, form):
             raise ValueError(f"block {i + 1} is not symplectic for genus {g}")
-    p, width = underlying_permutation(sigma), 2 * g
-    rows = [[0] * (q * width) for _ in range(q * width)]
-    for i, f in enumerate(fs):
-        col = (p(i + 1) - 1) * width
-        for r, row in enumerate(f.entries):
-            rows[i * width + r][col:col + width] = row
-    return ExactMatrix.from_rows(rows, cols=q * width)
+    return _wreath(q, g, sigma, fs)
 
 
 def block_permutation_image(k: int, g: int, word: BraidWord) -> ExactMatrix:
@@ -160,7 +183,8 @@ def block_permutation_image(k: int, g: int, word: BraidWord) -> ExactMatrix:
     (identity blocks), so it only sees the underlying permutation."""
     if g < 1:
         raise ValueError("genus must be >= 1")
-    return wreath_symplectic(k, g, word, [ExactMatrix.identity(2 * g)] * k)
+    _check_sigma(k, word)
+    return _wreath(k, g, word, [ExactMatrix.identity(2 * g)] * k)
 
 
 @dataclass(frozen=True)
@@ -183,8 +207,9 @@ class MirroredPair:
 
 def mirrored_pair(word: BraidWord) -> MirroredPair:
     """The pair (word, mirror of word); mirroring preserves the underlying
-    permutation, so the pullback condition always holds."""
-    return MirroredPair(word, mirror(word))
+    permutation, so the pullback condition always holds: the pair is built
+    unchecked, while the constructor and ``multiply`` check it."""
+    return _trusted(MirroredPair, first=word, second=mirror(word))
 
 
 @dataclass(frozen=True)
@@ -212,11 +237,11 @@ def cabling_discrepancy(g: int, q: int, sigma: BraidWord, mus: Sequence[BraidWor
     homology blockwise."""
     if g < 1:
         raise ValueError("genus must be >= 1")
-    if sigma.n != q:
-        raise ValueError(f"sigma is on {sigma.n} strands, expected {q}")
+    _check_sigma(q, sigma)
     for i, mu in enumerate(mus):
         if mu.n != 2 * g:
             raise ValueError(f"mu {i + 1} is on {mu.n} strands, genus {g} needs {2 * g}")
     cabled = braid_to_symplectic(q * g, cable(q, 2 * g, sigma, mus))
-    blockwise = wreath_symplectic(q, g, sigma, [braid_to_symplectic(g, mu) for mu in mus])
+    # cable has checked the count of mus, and each image is symplectic
+    blockwise = _wreath(q, g, sigma, [braid_to_symplectic(g, mu) for mu in mus])
     return DiscrepancyResult(cabled, blockwise)

@@ -36,8 +36,9 @@ or ``operator.sub``.  A Smith pivot 1 or -1, which divides every entry, is
 recorded without looking for what it does not divide.
 
 Checked at the boundary, trusted inside: the constructor, ``from_rows``,
-products and the JSON reader check every entry; an identity or a fold of
-int factors is built unchecked (``_exact_matrix``).
+products and the JSON reader check every entry; an identity, a fold of
+int factors and a placement of rows that a matrix already holds
+(``homs``' wreath images) are built unchecked (``_exact_matrix``).
 """
 
 from __future__ import annotations
@@ -248,8 +249,10 @@ class ExactMatrix:
         return "\n".join("[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells)
 
 
-def _exact_matrix(rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> ExactMatrix:
-    """``ExactMatrix(rows, cols, entries)`` for tuple rows of exact ints, unchecked."""
+def _exact_matrix(rows: int, cols: int, entries: tuple[tuple[Scalar, ...], ...]) -> ExactMatrix:
+    """``ExactMatrix(rows, cols, entries)``, unchecked, for tuple rows of
+    normalized entries: exact ints, and a ``Fraction`` only where the value
+    is not an integer, as a checked matrix's rows hold them."""
     return _trusted(ExactMatrix, rows=rows, cols=cols, entries=entries)
 
 

@@ -67,7 +67,10 @@ class TileParseError(ValueError):
 class TileExpr:
     """Base class of tile expression terms; ``dom`` and ``cod`` are fixed
     at construction.  Equality is structural; ``==``, ``hash`` and
-    ``repr`` walk the expression without recursion, so any depth works."""
+    ``repr`` walk the expression without recursion, so any depth works.
+    Like every walk, they dispatch on the exact type: a node they reach
+    that is of none of the four term classes, a subclass included, raises
+    TypeError as no tile expression."""
 
     dom: int = field(init=False, compare=False, repr=False)
     cod: int = field(init=False, compare=False, repr=False)
@@ -82,16 +85,23 @@ class TileExpr:
         stack = [(self, other)]  # the right parts still to compare
         while stack:
             a, b = stack.pop()
-            while a is not b:
-                if type(a) is not type(b):
+            while True:  # dispatch on the exact type, as every walk does
+                kind = type(a)
+                if kind not in _TERMS:
+                    raise TypeError(f"not a tile expression: {kind.__name__}")
+                if a is b:
+                    break
+                if kind is not type(b):
+                    if type(b) not in _TERMS:
+                        raise TypeError(f"not a tile expression: {type(b).__name__}")
                     return False
-                if isinstance(a, UnionExpr):
+                if kind is UnionExpr:
                     stack.append((a.right, b.right))
                     a, b = a.left, b.left
-                elif isinstance(a, ComposeExpr):
+                elif kind is ComposeExpr:
                     stack.append((a.second, b.second))
                     a, b = a.first, b.first
-                elif isinstance(a, AtomExpr) and a.tag != b.tag or isinstance(a, IdentityExpr) and a.width != b.width:
+                elif kind is AtomExpr and a.tag != b.tag or kind is IdentityExpr and a.width != b.width:
                     return False
                 else:
                     break
@@ -149,6 +159,7 @@ class UnionExpr(TileExpr):
         self._arity(self.left.dom + self.right.dom, self.left.cod + self.right.cod)
 
 
+_TERMS = frozenset((AtomExpr, IdentityExpr, ComposeExpr, UnionExpr))  # a subclass is no term
 D = AtomExpr("D")
 P = AtomExpr("P")
 F = AtomExpr("F")
@@ -559,17 +570,17 @@ def marked_point_count(tile: TileExpr) -> int:
     stack = [tile]  # the right parts still to count
     while stack:
         e = stack.pop()
-        while isinstance(e, (UnionExpr, ComposeExpr)):
-            if isinstance(e, UnionExpr):
+        while (kind := type(e)) is UnionExpr or kind is ComposeExpr:
+            if kind is UnionExpr:
                 stack.append(e.right)
                 e = e.left
             else:
                 stack.append(e.second)
                 e = e.first
-        if isinstance(e, AtomExpr):
+        if kind is AtomExpr:
             count += _POINTS[e.tag]
-        elif not isinstance(e, IdentityExpr):
-            raise TypeError(f"not a tile expression: {type(e).__name__}")
+        elif kind is not IdentityExpr:
+            raise TypeError(f"not a tile expression: {kind.__name__}")
     return count
 
 

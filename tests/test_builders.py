@@ -79,11 +79,17 @@ def _permutations() -> list[Permutation]:
     return [braid.underlying_permutation(word) for word in _words()]
 
 
+def _mirrored_pairs() -> list[homs.MirroredPair]:
+    return [homs.mirrored_pair(word) for word in _words()]
+
+
 # -- matrices -------------------------------------------------------------------
 
 def _matrices() -> list[ExactMatrix]:
     """Identities, symplectic images, and edge-transvection and Coxeter
-    images of random words; every one a fold of int factors."""
+    images of random words, every one a fold of int factors; and wreath
+    images placed from such rows: block permutation images and cabling's
+    blockwise images."""
     rng = random.Random(0)
     out = [ExactMatrix.identity(n) for n in range(7)]
     for g, length in itertools.product((1, 2, 3), (0, 1, 8, 30)):
@@ -92,6 +98,12 @@ def _matrices() -> list[ExactMatrix]:
         if graph.edges:
             word = [rng.choice((1, -1)) * rng.randint(1, len(graph.edges)) for _ in range(8)]
             out += [homs.edge_transvection_image(graph, word), CoxeterSystem(graph).image(word)]
+    for k, g in itertools.product((1, 2, 3, 4), (1, 2, 3)):
+        out.append(homs.block_permutation_image(k, g, verify._random_word(rng, k, 8, 0)))
+    for q, g in itertools.product((1, 2, 3), (1, 2)):
+        sigma = verify._random_word(rng, q, 6, 0)
+        mus = [verify._random_word(rng, 2 * g, 6, 0) for _ in range(q)]
+        out.append(homs.cabling_discrepancy(g, q, sigma, mus).blockwise)
     return out
 
 
@@ -173,6 +185,7 @@ ARITY = {"dom": int, "cod": int}
 ROWS = [
     Row(BraidWord, {"n": int, "letters": (tuple, int)}, _words),
     Row(Permutation, {"images": (tuple, int)}, _permutations),
+    Row(homs.MirroredPair, {"first": BraidWord, "second": BraidWord}, _mirrored_pairs),
     Row(ExactMatrix, {"rows": int, "cols": int, "entries": (tuple, (tuple, int))}, _matrices),
     Row(MarkedGraph, {"points": int, "edges": (tuple, (tuple, int)), "half_edges": (tuple, HalfEdge)}, _graphs),
     Row(TileNormalForm, {**ARITY, "tags": (tuple, str), "inputs": (tuple, (tuple, int)), "outputs": (tuple, int)},

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -518,10 +519,23 @@ def test_wreath_matches_a_product_of_dense_block_swaps():
         q, g = rng.randint(1, 4), rng.randint(1, 3)
         sigma = rand_word(rng, q, rng.randint(0, 8))
         fs = [braid_to_symplectic(g, rand_word(rng, 2 * g, rng.randint(0, 5))) for _ in range(q)]
-        expected = _block_diagonal(fs)
+        swaps = ExactMatrix.identity(2 * q * g)
         for l in sigma.letters:
-            expected = expected * _dense_block_swap(q, abs(l), 2 * g)
-        assert wreath_symplectic(q, g, sigma, fs) == expected
+            swaps = swaps * _dense_block_swap(q, abs(l), 2 * g)
+        assert wreath_symplectic(q, g, sigma, fs) == _block_diagonal(fs) * swaps
+        assert block_permutation_image(q, g, sigma) == swaps  # identity blocks
+
+
+def test_wreath_places_a_fractional_block_as_from_rows_does():
+    # placed rows are kept as they are, so they must already be normalized
+    f = ExactMatrix.from_rows([[Fraction(2), 0], [0, Fraction(1, 2)]])
+    m = wreath_symplectic(2, 1, w("b2: s1"), [f, ExactMatrix.identity(2)])
+    placed = ExactMatrix.from_rows([[0, 0, 2, 0], [0, 0, 0, Fraction(1, 2)], [1, 0, 0, 0], [0, 1, 0, 0]])
+    assert m == placed and hash(m) == hash(placed)
+    assert (m.rows, m.cols) == (placed.rows, placed.cols) == (4, 4)
+    assert type(m.entries) is tuple and all(type(row) is tuple for row in m.entries)
+    assert [list(map(type, row)) for row in m.entries] == [list(map(type, row)) for row in placed.entries]
+    assert [type(x) for x in m.entries[1]] == [int, int, int, Fraction]
 
 
 def test_wreath_validation():

@@ -240,6 +240,46 @@ def test_non_tiles_raise_type_error():
         normal_form("F")
 
 
+class SubAtom(tiles.AtomExpr):
+    pass
+
+
+class SubIdentity(IdentityExpr):
+    pass
+
+
+class SubCompose(tiles.ComposeExpr):
+    pass
+
+
+class SubUnion(UnionExpr):
+    pass
+
+
+@pytest.mark.parametrize("make", [lambda: SubAtom("F"), lambda: SubIdentity(1), lambda: SubCompose(F, F),
+                                  lambda: SubUnion(D, F)], ids=["atom", "identity", "compose", "union"])
+def test_a_subclass_of_a_term_class_is_no_tile_expression(make):
+    # every stage dispatches on the exact type, so none half-accepts a subclass
+    message = f"not a tile expression: {type(make()).__name__}"
+    for term, twin in [(make(), make()), (compose(F, make()), compose(F, make()))]:
+        stages = (
+            lambda: term == twin,
+            lambda: twin == term,
+            lambda: hash(term),
+            lambda: format_tile_expression(term),
+            lambda: normal_form(term),
+            lambda: marked_graph_of(term),
+            lambda: marked_point_count(term),
+        )
+        for stage in stages:
+            with pytest.raises(TypeError) as err:
+                stage()
+            assert str(err.value) == message
+    with pytest.raises(TypeError) as err:
+        make() == F  # met at the root, before any comparison
+    assert str(err.value) == message
+
+
 def test_normal_form_round_trips_through_expression():
     rng = random.Random(6)
     pool = [expr for level in enumerate_trees(4) for expr in level]
