@@ -100,12 +100,11 @@ class Presentation:
         return tuple(letters)
 
     def format_word(self, word: Iterable[int]) -> str:
-        w = self.validate_word(word)
-        if not w:
-            return "e"
-        return " ".join(
-            self.generators[l - 1] if l > 0 else f"{self.generators[-l - 1]}^-1" for l in w
-        )
+        return self._format(self.validate_word(word))
+
+    def _format(self, w: Word) -> str:
+        """A word already checked against the generators, as text."""
+        return " ".join(self.generators[l - 1] if l > 0 else f"{self.generators[-l - 1]}^-1" for l in w) or "e"
 
     def to_json_obj(self) -> dict:
         return {"generators": list(self.generators), "relators": [list(r) for r in self.relators]}
@@ -122,7 +121,7 @@ class Presentation:
 
     def __str__(self) -> str:
         gens = ", ".join(self.generators) if self.generators else "-"
-        rels = ", ".join(self.format_word(r) for r in self.relators)
+        rels = ", ".join(map(self._format, self.relators))  # checked when the presentation was made
         return f"< {gens} | {rels} >" if self.relators else f"< {gens} | >"
 
 

@@ -12,8 +12,9 @@ object on stdout.
 Exit codes: 0 for answered queries and passing verification, 1 for a
 failing verification suite, 2 for usage, parse or input errors, 3 for an
 internal failure (the word-problem routes disagree, handle reduction
-exceeds its step budget, or an allocation raises MemoryError).  Errors
-print ``error: ...`` on stderr.  ``tile tree '1_1000000000000'`` exits 3
+exceeds its step budget, or an allocation raises MemoryError), 141 when
+the reader closes stdout early, with nothing more printed.  Errors print
+``error: ...`` on stderr.  ``tile tree '1_1000000000000'`` exits 3
 only under an address-space limit (``ulimit -v``); without one the
 operating system may kill the process before Python raises MemoryError.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -276,6 +278,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's exit flush
+    except BrokenPipeError:  # the reader is gone: print nothing more, and let the exit flush write nowhere
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        code = 141  # what a shell reports for a writer ended by SIGPIPE
+    return code
+
+
+def _main(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -15,8 +15,8 @@ memo that the symplectic, edge-transvection and Coxeter folds share, so an
 image call pays for its fold, not for remaking its representation.
 ``rank_one_is_identity`` runs the same fold on the columns a word rewrites
 and compares only those with unit vectors.  The dense product and
-``inverse`` are the exact reference.  ``is_symplectic`` pairs rows through
-``SymplecticForm.pairing`` and takes no matrix product;
+``inverse`` are the exact reference.  ``is_symplectic`` pairs rows by one
+dot product against J's known entries and takes no matrix product;
 ``homs._transvection_factor`` writes the same pairing as a dot product with
 a rearranged class.  Integer-valued entries are stored as ``int`` and only
 genuinely fractional entries as ``Fraction``, and no floating point is
@@ -416,8 +416,8 @@ class SymplecticForm:
 
 
 def is_symplectic(m: ExactMatrix, form: SymplecticForm) -> bool:
-    """True iff <row_a, row_b> = <e_a, e_b> for all a < b, both through
-    ``form.pairing``: that is m J m^T = J, whose two sides alternate.  It
+    """True iff <row_a, row_b> = <e_a, e_b> for all a < b, by one dot
+    product each: that is m J m^T = J, whose two sides alternate.  It
     is the same as m^T J m = J, for rational or singular m too: either
     identity makes m invertible (det(m)^2 = 1), and J^-1 = -J turns
     m J m^T = J into m^T = -J m^-1 J, so m^T J m = J; and back on m^T.
@@ -426,10 +426,11 @@ def is_symplectic(m: ExactMatrix, form: SymplecticForm) -> bool:
     """
     if m.rows != form.dim or m.cols != form.dim:
         raise ValueError(f"expected a {form.dim}x{form.dim} matrix, got {m.rows}x{m.cols}")
-    pair, rows, basis = form.pairing, m.entries, _identity_rows(form.dim)
+    n, rows = form.dim, m.entries
+    turned = [tuple(x for i in range(0, n, 2) for x in (v[i + 1], -v[i])) for v in rows]  # <u, v> = u . turned v
     return all(
-        pair(rows[a], rows[b]) == pair(basis[a], basis[b])
-        for a in range(form.dim) for b in range(a + 1, form.dim)
+        sum(map(operator.mul, rows[a], turned[b])) == (b == a + 1 and a % 2 == 0)  # <e_a, e_b>: 1 at x_i, y_i
+        for a in range(n) for b in range(a + 1, n)
     )
 
 

@@ -36,7 +36,10 @@ builders next to each class.
 Every walk over a term pops a part that waits, goes down its left spine
 (first parts of gluings, left parts of unions) pushing only right parts,
 and handles the leaf at its foot, so no depth needs recursion; the output
-sweep of a diagram pops each wire once and skips the global inputs.
+sweep of a diagram pops each wire once and skips the global inputs.  One
+such walk lists a term's prefix-order nodes, which determine the term, for
+``==``, ``hash`` and ``marked_point_count``; the printer and the diagram
+carry parentheses and wire slices, so they walk for themselves.
 """
 
 from __future__ import annotations
@@ -66,10 +69,11 @@ class TileParseError(ValueError):
 @dataclass(frozen=True, slots=True)
 class TileExpr:
     """Base class of tile expression terms; ``dom`` and ``cod`` are fixed
-    at construction.  Equality is structural; ``==``, ``hash`` and
-    ``repr`` walk the expression without recursion, so any depth works.
-    Like every walk, they dispatch on the exact type: a node they reach
-    that is of none of the four term classes, a subclass included, raises
+    at construction.  Equality is structural: ``==`` compares two terms'
+    prefix-order nodes up to the first difference, and ``hash`` hashes
+    them, so the two agree.  They and ``repr`` walk without recursion, so
+    any depth works, and dispatch on the exact type, as every walk does: a
+    node of none of the four term classes, a subclass included, raises
     TypeError as no tile expression."""
 
     dom: int = field(init=False, compare=False, repr=False)
@@ -82,33 +86,10 @@ class TileExpr:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TileExpr):
             return NotImplemented
-        stack = [(self, other)]  # the right parts still to compare
-        while stack:
-            a, b = stack.pop()
-            while True:  # dispatch on the exact type, as every walk does
-                kind = type(a)
-                if kind not in _TERMS:
-                    raise TypeError(f"not a tile expression: {kind.__name__}")
-                if a is b:
-                    break
-                if kind is not type(b):
-                    if type(b) not in _TERMS:
-                        raise TypeError(f"not a tile expression: {type(b).__name__}")
-                    return False
-                if kind is UnionExpr:
-                    stack.append((a.right, b.right))
-                    a, b = a.left, b.left
-                elif kind is ComposeExpr:
-                    stack.append((a.second, b.second))
-                    a, b = a.first, b.first
-                elif kind is AtomExpr and a.tag != b.tag or kind is IdentityExpr and a.width != b.width:
-                    return False
-                else:
-                    break
-        return True
+        return all(map(tuple.__eq__, _nodes(self), _nodes(other)))  # prefix-free: one ends when both do
 
-    def __hash__(self) -> int:  # equal expressions print the same text
-        return hash(format_tile_expression(self))
+    def __hash__(self) -> int:
+        return hash(tuple(_nodes(self)))
 
     def __repr__(self) -> str:
         return f"parse_tile_expression({format_tile_expression(self)!r})"
@@ -159,7 +140,6 @@ class UnionExpr(TileExpr):
         self._arity(self.left.dom + self.right.dom, self.left.cod + self.right.cod)
 
 
-_TERMS = frozenset((AtomExpr, IdentityExpr, ComposeExpr, UnionExpr))  # a subclass is no term
 D = AtomExpr("D")
 P = AtomExpr("P")
 F = AtomExpr("F")
@@ -230,6 +210,29 @@ def disjoint_union(*parts: TileExpr) -> TileExpr:
     for p in parts[1:]:
         out = UnionExpr(out, p)
     return out
+
+
+def _nodes(expr: TileExpr) -> Iterator[tuple[type, str | int | None]]:
+    """The term's nodes in prefix order, each as ``(type, label)``: an
+    atom's tag, an identity's width, None for a gluing or a union.  Every
+    node has a fixed number of parts, so the sequence determines the term."""
+    stack = [expr]  # the right parts that wait
+    while stack:
+        e = stack.pop()
+        while (kind := type(e)) is ComposeExpr or kind is UnionExpr:
+            yield kind, None
+            if kind is ComposeExpr:
+                stack.append(e.second)
+                e = e.first
+            else:
+                stack.append(e.right)
+                e = e.left
+        if kind is AtomExpr:
+            yield kind, e.tag
+        elif kind is IdentityExpr:
+            yield kind, e.width
+        else:
+            raise TypeError(f"not a tile expression: {kind.__name__}")
 
 
 # -- text format --------------------------------------------------------
@@ -562,26 +565,10 @@ def marked_point_count(tile: TileExpr) -> int:
     tile's endomorphism group after completion (half twists around edges
     generate only a subgroup in general).
 
-    Each atom of the expression is one atom of its diagram, so the
-    expression is counted by walking it, with no diagram built: the cost
-    follows its terms, never an identity's width, and its depth needs no
-    recursion."""
-    count = 0
-    stack = [tile]  # the right parts still to count
-    while stack:
-        e = stack.pop()
-        while (kind := type(e)) is UnionExpr or kind is ComposeExpr:
-            if kind is UnionExpr:
-                stack.append(e.right)
-                e = e.left
-            else:
-                stack.append(e.second)
-                e = e.first
-        if kind is AtomExpr:
-            count += _POINTS[e.tag]
-        elif kind is not IdentityExpr:
-            raise TypeError(f"not a tile expression: {kind.__name__}")
-    return count
+    Each atom of the expression is one atom of its diagram, so the count
+    is read off the expression's nodes, with no diagram built: the cost
+    follows its terms, never an identity's width."""
+    return sum(_POINTS[label] for kind, label in _nodes(tile) if kind is AtomExpr)
 
 
 def endomorphism_presentation(tile: TileExpr | TileNormalForm) -> Presentation:

@@ -307,6 +307,48 @@ def test_deep_tile_in_a_fresh_interpreter():
     assert len(graph["edges"]) == 20_000
 
 
+def _fresh_cli(unbuffered, *args, **kwargs):
+    """``python -m braidtiles *args`` in a fresh interpreter that imports this
+    package, with stdout block-buffered (the default) or unbuffered."""
+    src = str(Path(braidtiles.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "PYTHONUNBUFFERED": "1" if unbuffered else ""}
+    return subprocess.Popen([sys.executable, "-m", "braidtiles", *args], env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_stdout_pipe_closed_by_its_reader_exits_141_in_silence(unbuffered):
+    # megabytes of relators: the reader takes the first bytes and leaves while the rest is written
+    proc = _fresh_cli(unbuffered, "tile", "group", " ; ".join(["F"] * 200), stdout=subprocess.PIPE)
+    assert proc.stdout.read(10) == b"< g1, g2, "
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (141, b"")
+
+
+PARSE_ERROR = b"error: expected a tile term (at position 3)\n"
+
+
+@pytest.mark.parametrize("unbuffered,argv,code,err", [
+    (False, ("tile", "mcg", "F"), 141, b""),
+    (True, ("tile", "mcg", "F"), 141, b""),
+    (False, ("tile", "mcg", "F ;"), 2, PARSE_ERROR),
+    (True, ("tile", "mcg", "F ;"), 2, PARSE_ERROR),
+    (False, ("--help",), 141, b""),  # unbuffered, argparse drops help text it cannot write, and exits 0
+], ids=["answer", "answer-unbuffered", "parse-error", "parse-error-unbuffered", "help"])
+def test_a_stdout_pipe_closed_before_the_answer(unbuffered, argv, code, err):
+    # the write end of a pipe whose reader is already gone: every write fails, and an error still reads as one
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _fresh_cli(unbuffered, *argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.wait(timeout=120), proc.stderr.read()) == (code, err)
+    proc.stderr.close()
+
+
 @pytest.mark.parametrize("word", ["b3: s1 s1^-1", "b3: s3"], ids=["answer", "parse-error"])
 def test_module_form_runs_the_cli(word):
     src = str(Path(braidtiles.__file__).resolve().parent.parent)

@@ -467,8 +467,22 @@ def test_is_symplectic():
     assert is_symplectic(ExactMatrix.identity(2), f)
     assert is_symplectic(ExactMatrix.from_rows([[1, 1], [0, 1]]), f)
     assert not is_symplectic(ExactMatrix.from_rows([[2, 0], [0, 1]]), f)
-    with pytest.raises(ValueError):
+    assert is_symplectic(ExactMatrix.from_rows([[2, 0], [0, Fraction(1, 2)]]), f)
+    assert not is_symplectic(ExactMatrix.from_rows([[0, 1], [1, 0]]), f)  # <x_1, y_1> pairs to -1
+    with pytest.raises(ValueError, match="^expected a 2x2 matrix, got 3x3$"):
         is_symplectic(_zeros(3, 3), f)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]],  # only rows 1 and 3 pair wrongly, to 1
+    [[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]],  # only y_1 and x_2, consecutive rows, pair to -1
+], ids=["non-adjacent", "y1-x2"])
+def test_is_symplectic_sees_a_single_wrong_pair(rows):
+    m = ExactMatrix.from_rows(rows)
+    wrong = [(a, b) for a in range(4) for b in range(a + 1, 4)
+             if SymplecticForm(2).pairing(m.entries[a], m.entries[b]) != (b == a + 1 and a % 2 == 0)]
+    assert len(wrong) == 1
+    assert not is_symplectic(m, SymplecticForm(2))
 
 
 def _dense_is_symplectic(rows):

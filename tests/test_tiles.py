@@ -280,6 +280,55 @@ def test_a_subclass_of_a_term_class_is_no_tile_expression(make):
     assert str(err.value) == message
 
 
+def test_a_subclass_term_is_no_tile_expression_even_against_itself():
+    # == reads every node, with no shortcut for a term compared with itself
+    term = compose(F, SubAtom("F"))
+    for stage in (lambda: term == term, lambda: hash(term)):
+        with pytest.raises(TypeError, match="^not a tile expression: SubAtom$"):
+            stage()
+
+
+# pairs that differ in one respect: the kind of a node, the nesting, a width, a tag
+NEAR_MISSES = [("F + F", "F ; F"), ("(F + F) + P", "F + (F + P)"), ("(F ; F) ; F", "F ; (F ; F)"),
+               ("1_1", "1_2"), ("1_1", "F"), ("D", "P")]
+
+
+@pytest.mark.parametrize("first,second", NEAR_MISSES)
+def test_near_miss_terms_differ(first, second):
+    a, b = t(first), t(second)
+    assert a != b and b != a
+    assert not a == b and not b == a
+    assert a == t(first) and b == t(second)
+
+
+def _rebuilt(expr):
+    """The same term made again by the public constructors, by recursion."""
+    if isinstance(expr, tiles.ComposeExpr):
+        return compose(_rebuilt(expr.first), _rebuilt(expr.second))
+    if isinstance(expr, UnionExpr):
+        return disjoint_union(_rebuilt(expr.left), _rebuilt(expr.right))
+    if isinstance(expr, IdentityExpr):
+        return IdentityExpr(expr.width)
+    return tiles.AtomExpr(expr.tag)
+
+
+def test_equal_terms_built_by_every_route_compare_and_hash_alike():
+    """A term equals, and hashes as, the same term parsed from its text and
+    rebuilt by the public constructors; a canonical term from
+    ``to_expression`` equals the one made again from its own normal form.
+    Enumerated and parsed terms are among the terms, and a rebuilt twin is
+    a new object at every node."""
+    canonical = [to_expression(normal_form(expr)) for expr in enumerate_tiles(3)]
+    terms = [t(text) for pair in NEAR_MISSES for text in pair] + [t(WITNESS_TILE), *enumerate_tiles(4), *canonical]
+    pairs = [(expr, twin) for expr in terms for twin in (t(format_tile_expression(expr)), _rebuilt(expr))]
+    pairs += [(expr, to_expression(normal_form(_rebuilt(expr)))) for expr in canonical]
+    for expr, twin in pairs:
+        assert expr == twin and twin == expr and not expr != twin
+        assert hash(expr) == hash(twin)
+    assert compose(F, F, F) == t("F ; F ; F") == enumerate_trees(3)[2][1]
+    assert disjoint_union(IdentityExpr(1), F) == t("1_1 + F")
+
+
 def test_normal_form_round_trips_through_expression():
     rng = random.Random(6)
     pool = [expr for level in enumerate_trees(4) for expr in level]
