@@ -13,7 +13,16 @@ identity is certainly nontrivial, while the identity image decides
 nothing.  The reflection images are integer matrices: a graph's Coxeter
 labels, 3 for neighbouring edges and 2 otherwise, make -2B(a_t, a_s) 1 or 0.
 ``CoxeterSystem`` holds its graph alone, and it and ``certify_nontrivial``
-read each reflection from the adjacency (``_reflection_factor``).
+read each reflection from the adjacency (``_reflection_factor``).  A
+reflection's matrix is I + u^T d with d = a_s and u_s = -2, so d . u = -2,
+and since
+
+    (I + s u^T d)(I + t u^T d) = I + (s + t + st d.u) u^T d,
+
+its square (s = t = 1) is I + (1 + 1 - 2) u^T d = I.  A letter and its
+inverse map to the same reflection, so both fold the letters' absolute
+values once adjacent equal ones cancel (``_reflections``): an image costs by
+the reduced word.
 
 The public ``Presentation`` constructor and its JSON reader check their
 input.  A graph's presentation holds every invariant by construction (its
@@ -207,14 +216,31 @@ def _reflection_factor(graph: MarkedGraph) -> Callable[[int], tuple[Terms, Terms
     -1/2 for a neighbour (label 3) and 0 otherwise (label 2), so u =
     -2B(., a_s) is 1 at each neighbour, in ascending order, and -2 at s, and
     d = a_s."""
-    r, neighbors = len(graph.edges), edge_neighbors(graph.edges)
+    neighbors = edge_neighbors(graph.edges)
 
     def factor(s: int) -> tuple[Terms, Terms]:
-        if not (1 <= s <= r):
-            raise PresentationError(f"generator {s} outside 1..{r}")
         return [(t, 1) for t in sorted(neighbors[s - 1])] + [(s - 1, -2)], [(s - 1, 1)]
 
     return factor
+
+
+def _reflections(rank: int, word: Iterable[int]) -> list[int]:
+    """The reflections that a word's letters map to, |l| each, with adjacent
+    equal ones cancelled, since a reflection squares to I.  Every letter is
+    checked first, in word order, so a pair of out-of-range letters is
+    named even though it would cancel."""
+    sizes = list(map(abs, word))
+    if sizes and not 1 <= min(sizes) <= max(sizes) <= rank:
+        for s in sizes:
+            if not 1 <= s <= rank:
+                raise PresentationError(f"generator {s} outside 1..{rank}")
+    out: list[int] = []
+    for s in sizes:
+        if out and out[-1] == s:
+            out.pop()
+        else:
+            out.append(s)
+    return out
 
 
 @dataclass(frozen=True)
@@ -232,8 +258,9 @@ class CoxeterSystem:
     def image(self, word: Iterable[int]) -> ExactMatrix:
         """Image of a word in the reflection representation; a generator and
         its inverse map to the same reflection (reflections are involutions),
-        letters act left to right on row vectors."""
-        return rank_one_product(self.rank, _reflection_factor(self.graph), map(abs, word))
+        letters act left to right on row vectors.  Only the reflections left
+        once adjacent equal ones cancel are folded (``_reflections``)."""
+        return rank_one_product(self.rank, _reflection_factor(self.graph), _reflections(self.rank, word))
 
 
 class Certificate(enum.Enum):
@@ -245,9 +272,10 @@ def certify_nontrivial(graph: MarkedGraph, word: Iterable[int]) -> Certificate:
     """Sound one-sided test for nontriviality of a word in the graph's Artin
     group, via the Coxeter quotient in its reflection representation: a
     non-identity image certifies nontriviality, an identity image decides
-    nothing.  The image is never built: the fold of ``image`` runs on the
-    columns the word rewrites, each a combination of its generator's
-    neighbour columns, and only those are compared with unit vectors
-    (``linalg.rank_one_is_identity``)."""
-    trivial = rank_one_is_identity(len(graph.edges), _reflection_factor(graph), map(abs, word))
+    nothing.  The image is never built: the fold of ``image``, on the same
+    reflections (``_reflections``), runs on the columns the word rewrites,
+    each a combination of its generator's neighbour columns, and only those
+    are compared with unit vectors (``linalg.rank_one_is_identity``)."""
+    rank = len(graph.edges)
+    trivial = rank_one_is_identity(rank, _reflection_factor(graph), _reflections(rank, word))
     return Certificate.INCONCLUSIVE if trivial else Certificate.NONTRIVIAL

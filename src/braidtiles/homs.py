@@ -13,6 +13,20 @@ blocks.  These are homology shadows, not faithful images: identities of
 images are necessary conditions only, but any two distinct images
 certify a genuine difference, which is what the discrepancy witness uses.
 
+Every transvection here is I + u^T d with d . u = 0: a class pairs to 0
+with itself, and the edge pairing has a zero diagonal.  Two factors along
+the same (u, d) multiply as
+
+    (I + s u^T d)(I + t u^T d) = I + (s + t + st d.u) u^T d,
+
+so with d . u = 0 the letters l and -l (t = -s) give I: an inverse letter
+just flips the sign, and nothing is ever inverted.  ``braid_to_symplectic``
+and ``edge_transvection_image`` therefore fold the word's free reduction
+(``braid._free_reduce``), so an image costs by the reduced word; l, l
+(t = s) does not cancel.  verify's symplectic-well-defined check confirms
+the rule: the images of s_i and s_i^-1 multiply to the identity for every
+chain generator of genus 2..5.
+
 Checked at the boundary, trusted inside: each map checks its arguments,
 then builds its image unchecked.  ``wreath_symplectic`` checks the strand
 count, the block count and that every block is symplectic; the wreath
@@ -30,7 +44,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .braid import BraidWord, _braid_word, cable, mirror, underlying_permutation
+from .braid import BraidWord, _braid_word, _free_reduce, cable, mirror, underlying_permutation
 from .graphs import MarkedGraph, edge_neighbors
 from .linalg import ExactMatrix, SymplecticForm, _exact_matrix, _trusted, is_symplectic, rank_one_product
 
@@ -56,14 +70,6 @@ def chain_classes(g: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-# Every transvection below is I + u^T d with d . u = 0 (a class pairs to 0
-# with itself; the edge pairing has a zero diagonal), so (I + u^T d)(I - u^T d)
-# = I: an inverse letter just flips the sign, and nothing is ever inverted.
-# verify's symplectic-well-defined check confirms it through
-# braid_to_symplectic: s_i s_i^-1 maps to the identity for every chain
-# generator of genus 2..5.
-
-
 def _transvection_factor(c: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """(u, d) with <v, c> = v . u and d = c, for v -> v + <v, c> c, as their
     nonzeros (index, coefficient); a chain class has at most two."""
@@ -84,7 +90,7 @@ def braid_to_symplectic(g: int, word: BraidWord) -> ExactMatrix:
     if word.n != 2 * g:
         raise ValueError(f"word is on {word.n} strands, genus {g} needs {2 * g}")
     classes = chain_classes(g)
-    return rank_one_product(2 * g, lambda i: _transvection_factor(classes[i - 1]), word.letters)
+    return rank_one_product(2 * g, lambda i: _transvection_factor(classes[i - 1]), _free_reduce(word.letters))
 
 
 def _band_letters(i: int, j: int) -> list[int]:
@@ -128,16 +134,21 @@ def edge_transvection_image(graph: MarkedGraph, word: Iterable[int]) -> ExactMat
     convention.  The transvection of an edge is built from its neighbours
     (``edge_neighbors``) when the word first uses it, never from an E x E
     pairing: u holds the pairing's column a at the neighbours in ascending
-    order, so equal content meets one ``_letter_terms`` program, and d = e_a."""
+    order, so equal content meets one ``_letter_terms`` program, and d = e_a.
+    Every letter is checked first, in word order; then the word's free
+    reduction is folded, since u_a = 0 makes a letter and its inverse cancel."""
     e, neighbors = len(graph.edges), edge_neighbors(graph.edges)
+    letters = tuple(word)
+    if letters and not 1 <= min(map(abs, letters)) <= max(map(abs, letters)) <= e:
+        for l in letters:
+            if not 1 <= abs(l) <= e:
+                raise ValueError(f"edge index {abs(l)} outside 1..{e}")
 
     def factor(index: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-        if not (1 <= index <= e):
-            raise ValueError(f"edge index {index} outside 1..{e}")
         a = index - 1
         return tuple((b, 1 if b < a else -1) for b in sorted(neighbors[a])), ((a, 1),)
 
-    return rank_one_product(e, factor, word)
+    return rank_one_product(e, factor, _free_reduce(letters))
 
 
 def _check_sigma(q: int, sigma: BraidWord) -> None:

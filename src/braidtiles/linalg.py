@@ -14,7 +14,11 @@ program is made once per factor content ``(u, d, sign)``, in one capped
 memo that the symplectic, edge-transvection and Coxeter folds share, so an
 image call pays for its fold, not for remaking its representation.
 ``rank_one_is_identity`` runs the same fold on the columns a word rewrites
-and compares only those with unit vectors.  The dense product and
+and compares only those with unit vectors.  The fold takes every letter it
+is given; each representation hands it its word with the letters that
+cancel already removed, by the rule its factors obey (``homs``: a
+transvection and its inverse; ``artin``: two equal reflections), so an
+image costs by the reduced word.  The dense product and
 ``inverse`` are the exact reference.  ``is_symplectic`` pairs rows by one
 dot product against J's known entries and takes no matrix product;
 ``homs._transvection_factor`` writes the same pairing as a dot product with
@@ -23,9 +27,12 @@ genuinely fractional entries as ``Fraction``, and no floating point is
 involved anywhere.  ``smith_normal_form`` returns only the Smith diagonal,
 which is unique; it keeps no unimodular certificate.  One elimination loop
 on sparse rows makes it (``_smith_diagonal``), pivoting on the smallest
-|entry| in the shortest row that holds it.  ``smith_normal_form`` feeds it
-a checked matrix's rows, and ``artin.abelianization`` its relators' exponent
-rows with no matrix in between, so H_1 costs by the nonzeros.
+|entry| in the shortest row that holds it and recording a pivot as soon as
+its row and column are clear; gcd/lcm steps over the distinct values then
+put the diagonal in divisibility order (``_invariant_factors``).
+``smith_normal_form`` feeds it a checked matrix's rows, and
+``artin.abelianization`` its relators' exponent rows with no matrix in
+between, so H_1 costs by the nonzeros.
 
 Per-entry work runs at C speed where the entries allow it, with the same
 results as entry-by-entry code: a row of exact ``int`` entries is stored
@@ -43,9 +50,11 @@ int factors and a placement of rows that a matrix already holds
 
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
 import itertools
+import math
 import operator
 import re
 import sys
@@ -199,7 +208,7 @@ class ExactMatrix:
         ocols = list(zip(*other.entries)) if other.entries else [()] * other.cols
         out = []
         for row in self.entries:
-            out.append(tuple(sum(a * b for a, b in zip(row, col)) for col in ocols))
+            out.append(tuple(sum(map(operator.mul, row, col)) for col in ocols))
         return ExactMatrix(self.rows, other.cols, tuple(out))
 
     @property
@@ -447,12 +456,13 @@ def _smith_diagonal(rows: list[dict[int, int] | None]) -> list[int]:
     its rows.  A pivot 1 or -1 divides every entry, so column steps then
     clear its row without changing any other, and it is recorded at once.
     Any other pivot leaves a smaller entry to pivot on next when a remainder
-    is left in its column, when its row has an entry p does not divide
-    (reduced mod p by column steps), or when another row has one (added to
-    the pivot row, then reduced); |p| is recorded only when none of these
-    holds.  Rows stay sparse throughout, and the shortest pivot row brings
-    the least fill-in (Dumas, Saunders and Villard, J. Symbolic Comput. 32,
-    2001)."""
+    is left in its column, or when its row has an entry p does not divide
+    (reduced mod p by column steps); otherwise column steps clear its row,
+    and |p| is recorded with no look at the other rows.  The recorded values
+    are then a diagonal equivalent to the rows, which ``_invariant_factors``
+    puts in divisibility order.  Rows stay sparse throughout, and the
+    shortest pivot row brings the least fill-in (Dumas, Saunders and
+    Villard, J. Symbolic Comput. 32, 2001)."""
     holding: dict[int, set[int]] = {}  # column -> the rows that hold it
     for r, row in enumerate(rows):
         for c in row:
@@ -490,10 +500,6 @@ def _smith_diagonal(rows: list[dict[int, int] | None]) -> list[int]:
                 heapq.heappush(queue, (least, size, r))
                 continue
             # Column c is now p at row r alone, so column steps change only row r.
-            if not any(x % p for x in pivot.values()):
-                offender = next((row for row in rows if row and any(x % p for x in row.values())), None)
-                if offender is not None:
-                    pivot = pivot | {c2: pivot.get(c2, 0) + x for c2, x in offender.items()}
             if any(x % p for x in pivot.values()):
                 for c2 in rows[r]:
                     holding[c2].discard(r)
@@ -506,7 +512,37 @@ def _smith_diagonal(rows: list[dict[int, int] | None]) -> list[int]:
         rows[r] = None
         for c2 in pivot:
             holding[c2].discard(r)
-    return diag
+    return _invariant_factors(diag)
+
+
+def _invariant_factors(diag: list[int]) -> list[int]:
+    """The positive diagonal ``diag`` put in divisibility order.  Two
+    distinct values a, b that divide neither way become (gcd, lcm), an
+    equivalence of diag(a, b), as many times as both occur; the step keeps
+    their product and spreads them apart, so the sum of squared logs grows
+    among finitely many diagonals, and the sweeps end in a chain: the Smith
+    form, sorted.  Only the distinct non-unit values are compared, with
+    their counts, so a repeated factor costs nothing (Newman, *Integral
+    Matrices*, Academic Press 1972, ch. II); a unit divides every value and
+    stays in front, and a diagonal of units alone, as a graph's H_1 gives,
+    is returned as it is."""
+    units = diag.count(1)
+    if units == len(diag):
+        return diag
+    counts = collections.Counter(d for d in diag if d != 1)
+    steps = True
+    while steps:
+        steps = False
+        for a, b in itertools.combinations(sorted(counts), 2):
+            if counts[a] and counts[b] and b % a:
+                k, g = min(counts[a], counts[b]), math.gcd(a, b)
+                counts[a] -= k
+                counts[b] -= k
+                counts[g] += k
+                counts[a // g * b] += k
+                steps = True
+        counts = +counts  # drop the values whose count fell to 0
+    return [1] * units + sorted(counts.elements())
 
 
 def smith_normal_form(m: ExactMatrix) -> tuple[int, ...]:

@@ -113,6 +113,8 @@ class IdentityExpr(TileExpr):
     width: int
 
     def __post_init__(self) -> None:
+        if type(self.width) is not int:  # a bool is an int to isinstance, and 1.0 compares as 1
+            raise ValueError(f"identity width {self.width!r} is not an int")
         if self.width < 0:
             raise ValueError("identity width must be nonnegative")
         self._arity(self.width, self.width)

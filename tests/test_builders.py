@@ -247,6 +247,11 @@ BOUNDARY = [
     ("normal-form-list", lambda: TileNormalForm(1, 1, ["F"], ((~0,),), (0,)), ValueError, NOT_A_NORMAL_FORM),
     ("normal-form-tag", lambda: TileNormalForm(1, 1, ("X",), ((~0,),), (0,)), ValueError,
      "unknown atom 'X'; atoms are D, P, F"),
+    # an identity's width is an exact int, as a word's letters are
+    ("identity-negative", lambda: IdentityExpr(-1), ValueError, "identity width must be nonnegative"),
+    ("identity-bool", lambda: IdentityExpr(True), ValueError, "identity width True is not an int"),
+    ("identity-float", lambda: IdentityExpr(1.0), ValueError, "identity width 1.0 is not an int"),
+    ("identity-non-integral", lambda: IdentityExpr(2.5), ValueError, "identity width 2.5 is not an int"),
     ("matrix-shape", lambda: ExactMatrix(-1, 0, ()), ValueError, "matrix dimensions must be nonnegative"),
     ("matrix-rows", lambda: ExactMatrix(2, 1, ((1,),)), ValueError, "expected 2 rows, got 1"),
     ("matrix-columns", lambda: ExactMatrix(1, 2, ((1,),)), ValueError, "expected 2 columns, got 1"),

@@ -712,6 +712,26 @@ def test_wide_sparse_presentation_abelianizes_in_a_fresh_interpreter():
     assert proc.stderr == ""
 
 
+def test_many_torsion_relators_abelianize_in_a_fresh_interpreter():
+    # x_i^2 over 4,000 generators: every pivot is a 2 and no row holds an
+    # entry 2 does not divide, so a search for such a row at each pivot
+    # would cost rows x pivots (seconds); the elimination itself takes
+    # milliseconds.  The child times the call, apart from its start-up.
+    proc = _run_under_a_memory_limit("-c", (
+        "import json, time\n"
+        "from braidtiles.artin import Presentation, abelianization\n"
+        "n = 4000\n"
+        "pres = Presentation(tuple(f'x{i}' for i in range(1, n + 1)), tuple((i, i) for i in range(1, n + 1)))\n"
+        "start = time.perf_counter()\n"
+        "result = abelianization(pres)\n"
+        "print(json.dumps([time.perf_counter() - start, result.to_json_obj()]))\n"
+    ))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    seconds, result = json.loads(proc.stdout)
+    assert result == {"free_rank": 0, "torsion": [2] * 4000}
+    assert seconds < 1.0, seconds
+
+
 def test_no_arguments_exits_2(capsys):
     assert main([]) == 2
     capsys.readouterr()

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidtiles import artin, braid, tiles
+from braidtiles import artin, braid, homs, tiles
 from braidtiles.braid import BraidWord, parse_braid_word
 from braidtiles.graphs import MarkedGraph
 from braidtiles.homs import (
@@ -235,6 +235,80 @@ def _adjacent_pairs(graph):
         for b in range(a + 1, e)
         if set(graph.edges[a]) & set(graph.edges[b])
     ]
+
+
+def _unreduced(rng, gens, length, involutions):
+    """A random word over the letters +-1..gens with cancelling pairs put in:
+    l, -l, and for involutions also l, l."""
+    word = [rng.choice([1, -1]) * rng.randint(1, gens) for _ in range(length)]
+    for _ in range(length // 2):
+        l = rng.choice([1, -1]) * rng.randint(1, gens)
+        at = rng.randint(0, len(word))
+        word[at:at] = [l, l if involutions and rng.random() < 0.5 else -l]
+    return tuple(word)
+
+
+def _folds():
+    """(kind, rank, factor, image, reduce) for each kind of rank-one letter:
+    ``factor`` folds through ``rank_one_product`` letter by letter, while
+    ``image`` is the public map, which folds the word ``reduce`` leaves."""
+    g, graph = 3, WITNESS_GRAPH  # a point on three edges
+    classes = chain_classes(g)
+    edges = _Signed(graph, dict.fromkeys(_adjacent_pairs(graph), 1))
+    e = len(graph.edges)
+    return [
+        ("chain-transvection", 2 * g - 1, lambda i: homs._transvection_factor(classes[i - 1]),
+         lambda word: braid_to_symplectic(g, BraidWord(2 * g, word)), braid._free_reduce),
+        ("edge-transvection", e, lambda i: (edges.columns[i - 1], ((i - 1, 1),)),
+         lambda word: edge_transvection_image(graph, word), braid._free_reduce),
+        ("reflection", e, artin._reflection_factor(graph), artin.CoxeterSystem(graph).image,
+         lambda word: artin._reflections(e, word)),
+    ]
+
+
+FOLDS = _folds()
+
+
+@pytest.mark.parametrize("kind,rank,factor,image,reduce", FOLDS, ids=[f[0] for f in FOLDS])
+def test_every_letter_folded_gives_the_image_of_the_reduced_word(kind, rank, factor, image, reduce):
+    # the public images fold the reduced word only; folding every letter, the
+    # cancelling pairs included, must give the same matrix
+    rng = random.Random(43)
+    n = rank + 1 if kind == "chain-transvection" else rank
+    involutions = kind == "reflection"
+    shorter = 0
+    for length in range(0, 40, 3):
+        word = _unreduced(rng, rank, length, involutions)
+        letters = word if not involutions else tuple(map(abs, word))
+        reduced = reduce(word)
+        shorter += len(reduced) < len(word)
+        assert rank_one_product(n, factor, letters) == image(word) == rank_one_product(n, factor, reduced)
+    assert shorter >= 12
+
+
+def test_a_squared_transvection_does_not_cancel():
+    # l, l is not a cancelling pair for a transvection: only l, -l is
+    g, graph = 2, MarkedGraph.path(4)
+    for l in (1, -2, 3):
+        one = braid_to_symplectic(g, BraidWord(4, (l,)))
+        square = braid_to_symplectic(g, BraidWord(4, (l, l)))
+        assert square == one * one and not square.is_identity()
+        one = edge_transvection_image(graph, (l,))
+        square = edge_transvection_image(graph, (l, l))
+        assert square == one * one and not square.is_identity()
+
+
+@pytest.mark.parametrize("word,bad", [
+    ((99, -99), 99), ((0, 0), 0), ((4, 4), 4), ((-4, 4), 4), ((1, 2, 5, -5, 0), 5), ((1, -1, 0, 9, -9), 0),
+], ids=["inverse-pair", "zero-pair", "equal-pair", "negative-pair", "first-of-two", "zero-first"])
+def test_letters_outside_the_generators_are_named_before_any_cancels(word, bad):
+    # every letter is checked, in word order, before a pair of them cancels
+    graph = MarkedGraph.path(4)  # three edges
+    with pytest.raises(ValueError, match=f"^edge index {bad} outside 1..3$"):
+        edge_transvection_image(graph, word)
+    for call in (artin.CoxeterSystem(graph).image, lambda word: artin.certify_nontrivial(graph, word)):
+        with pytest.raises(artin.PresentationError, match=f"^generator {bad} outside 1..3$"):
+            call(word)
 
 
 def test_edge_rep_well_defined_under_every_sign_assignment():

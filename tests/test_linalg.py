@@ -189,7 +189,7 @@ def test_str_rendering():
 
 # expected diagonals cross-checked against an independent implementation
 SNF_CASES = [
-    ([[2, 0], [0, 3]], [1, 6]),  # the other row's 3 is added to the pivot row
+    ([[2, 0], [0, 3]], [1, 6]),  # both pivots are recorded; gcd and lcm put (2, 3) in order as (1, 6)
     ([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], [2, 2, 156]),
     ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [1, 3, 0]),
     ([[0, 0], [0, 0]], [0, 0]),
